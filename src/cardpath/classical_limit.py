@@ -20,20 +20,18 @@ rises toward 1.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import ConfigError, NoConvergence
+from .errors import NoConvergence
 from .lattice import (LagrangianSpec, LatticePath, SpaceGrid, TimeGrid,
                       discretized_action)
-from .propagator import (PropagatorConfig, apply_step, convergence_recipe,
-                         gaussian_window, step_matrix)
+from .propagator import (PropagatorConfig, StepOperator, convergence_recipe,
+                         gaussian_window, sweep)
 
 
 def _step_potential_derivs(lag: LagrangianSpec, mids: np.ndarray,
@@ -164,12 +162,14 @@ class ConcentrationScan:
 
 def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
                          centers: Sequence[float], source_width: float,
-                         phase_free: bool = False) -> np.ndarray:
+                         phase_free: bool = False,
+                         step: Optional[StepOperator] = None) -> np.ndarray:
     """Per-slice tube fractions f_1 .. f_{k-1} of the windowed path sum.
 
     centers must hold the k+1 slice positions of the reference path.
-    Time-independent potentials only (one matrix, reused forward and
-    backward).
+    Time-independent potentials only (one step operator, reused forward
+    and backward); step may pass in StepOperator(cfg, 1, phase_free) when
+    the caller has built it already.
     """
     if cfg.lag.time_dependent:
         raise ValueError("slice fractions need a time-independent potential")
@@ -185,13 +185,10 @@ def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
     wb = gaussian_window(x, cfg.b, source_width, p, cfg.hbar)
     if phase_free:
         wa, wb = np.abs(wa), np.abs(wb)
-    Tm = step_matrix(cfg, 1, phase_free=phase_free)
-    fwd = [wa.astype(complex)]
-    for _ in range(k):
-        fwd.append(apply_step(Tm, fwd[-1]))
-    bwd = [np.conj(wb).astype(complex)]
-    for _ in range(k):
-        bwd.append(apply_step(Tm, bwd[-1]))
+    if step is None:
+        step = StepOperator(cfg, 1, phase_free=phase_free)
+    fwd = sweep(cfg, wa.astype(complex), step, keep=True)
+    bwd = sweep(cfg, np.conj(wb).astype(complex), step, keep=True)
     fracs = np.empty(k - 1)
     for i in range(1, k):
         beta = np.abs(fwd[i] * bwd[k - i]) * dx
@@ -201,39 +198,32 @@ def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
     return fracs
 
 
-def packet_argmax_offset(cfg: PropagatorConfig, target: float) -> float:
+def packet_argmax_offset(cfg: PropagatorConfig, target: float,
+                         step: Optional[StepOperator] = None,
+                         path: Optional[LatticePath] = None) -> float:
     """Distance (in grid units of length) from the propagated packet's
     peak-probability site to the target position.
 
     The initial packet is a Gaussian of width sqrt(hbar*T/(2*mass)) at a,
-    boosted by the classical momentum mass*(b-a)/T.
+    boosted by the lattice momentum at a of the stationary path from a to b,
+
+        p0 = mass * (r_1 - r_0) / eps + (eps / 2) * V'((r_0 + r_1) / 2, t_{1/2}),
+
+    so that it heads for b under any potential.  path and step may pass in
+    that stationary path and the operator StepOperator(cfg, 1) when the
+    caller has them already.
     """
+    if path is None:
+        path = classical_path(cfg.lag, cfg.grid, cfg.a, cfg.b)
+    eps = cfg.grid.epsilon
+    r0, r1 = path.sites[0], path.sites[1]
+    p0 = cfg.lag.mass * (r1 - r0) / eps + 0.5 * eps * float(
+        cfg.lag.v_prime(0.5 * (r0 + r1), cfg.grid.t_a + 0.5 * eps))
     x = cfg.space.points()
     sigma = math.sqrt(cfg.hbar * cfg.grid.duration / (2.0 * cfg.lag.mass))
-    p = cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration
-    psi = gaussian_window(x, cfg.a, sigma, p, cfg.hbar)
-    Tm = step_matrix(cfg, 1)
-    for i in range(1, cfg.grid.k + 1):
-        if cfg.lag.time_dependent and i > 1:
-            Tm = step_matrix(cfg, i)
-        psi = apply_step(Tm, psi)
+    psi = sweep(cfg, gaussian_window(x, cfg.a, sigma, p0, cfg.hbar), step)
     amax = int(np.argmax(np.abs(psi) ** 2))
     return abs(float(x[amax]) - target)
-
-
-def worker_cap(n_jobs: int) -> int:
-    """Thread count for parallel sweeps, capped by CARDPATH_THREADS."""
-    cap = min(4, os.cpu_count() or 1, max(n_jobs, 1))
-    env = os.environ.get("CARDPATH_THREADS")
-    if env is not None:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ConfigError(f"CARDPATH_THREADS must be an integer, got {env!r}")
-        if requested < 1:
-            raise ConfigError("CARDPATH_THREADS must be at least 1")
-        cap = min(requested, max(n_jobs, 1))
-    return cap
 
 
 def concentration_scan(lag: LagrangianSpec, t_total: float, a: float, b: float,
@@ -246,8 +236,8 @@ def concentration_scan(lag: LagrangianSpec, t_total: float, a: float, b: float,
 
     For each hbar the grid and window come from `convergence_recipe` (the
     alias-safe site count changes with hbar), unless an explicit space and
-    source_width pin them.  Per-hbar runs are independent and execute on a
-    small thread pool; see `worker_cap`.
+    source_width pin them.  Each hbar builds one step operator, shared by
+    the forward and backward slice sweeps and the packet sweep.
     """
     grid = TimeGrid(0.0, t_total, k)
     cl = classical_path(lag, grid, a, b)
@@ -255,7 +245,8 @@ def concentration_scan(lag: LagrangianSpec, t_total: float, a: float, b: float,
     s_cl = discretized_action(cl, grid, lag)
     hbars = tuple(float(h) for h in hbar_values)
 
-    def one(hbar: float):
+    rows = []
+    for hbar in hbars:
         t0 = time.perf_counter()
         if space is None:
             _, sp, sw = convergence_recipe(lag, hbar, t_total, a, b, k=k)
@@ -265,14 +256,12 @@ def concentration_scan(lag: LagrangianSpec, t_total: float, a: float, b: float,
             if sw is None:
                 raise ValueError("source_width is required with an explicit space grid")
         cfg = PropagatorConfig(grid=grid, space=sp, lag=lag, hbar=hbar, a=a, b=b)
-        frac = float(np.mean(slice_tube_fractions(cfg, delta, centers, sw,
-                                                  phase_free=phase_free)))
-        off = packet_argmax_offset(cfg, b)
-        dt = (time.perf_counter() - t0) * 1e3
-        return frac, off, sp.dx, dt
-
-    with ThreadPoolExecutor(max_workers=worker_cap(len(hbars))) as ex:
-        rows = list(ex.map(one, hbars))
+        step = StepOperator(cfg, 1)
+        frac = float(np.mean(slice_tube_fractions(
+            cfg, delta, centers, sw, phase_free=phase_free,
+            step=None if phase_free else step)))
+        off = packet_argmax_offset(cfg, b, step=step, path=cl)
+        rows.append((frac, off, sp.dx, (time.perf_counter() - t0) * 1e3))
     return ConcentrationScan(
         hbar_values=hbars, delta=delta,
         mass_fraction=tuple(r[0] for r in rows),

@@ -30,9 +30,8 @@ from .intermediate_set import (IntermediatePoint, MappingDistribution,
                                collect_unit_sets, realize_population)
 from .lattice import SpaceGrid, TimeGrid, free_particle, harmonic_oscillator
 from .oracles import AnalyticKernel, analytic_propagator
-from .propagator import (RECIPE_K, PropagatorConfig, apply_step,
-                         convergence_recipe, gaussian_window,
-                         propagate_transfer_matrix, step_matrix)
+from .propagator import (RECIPE_K, PropagatorConfig, convergence_recipe,
+                         gaussian_window, propagate_transfer_matrix, sweep)
 
 _EXPERIMENTS = ("propagator_convergence", "interference",
                 "concentration_scan", "mapping_demo")
@@ -264,7 +263,7 @@ def run_interference(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
     x = space.points()
     src = (gaussian_window(x, -0.5 * d, w, 0.0, hbar)
            + gaussian_window(x, 0.5 * d, w, 0.0, hbar))
-    psi = apply_step(step_matrix(pcfg, 1), src)
+    psi = sweep(pcfg, src)
     intensity = np.abs(psi) ** 2
     thr = 0.02 * intensity.max()
     interior = (intensity[1:-1] > intensity[:-2]) \

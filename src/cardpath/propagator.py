@@ -7,8 +7,17 @@ kernel reproduces the continuum kernel.  The k-step pinned sum is
 
     K = norm^k * dx^(k-1) * sum over interior assignments of e^{i S / hbar}
 
-which the transfer matrix evaluates in O(k * sites^2) by sweeping the
-one-step kernel matrix T[j', j] = norm * dx * e^{i S_step / hbar}.
+which the transfer matrix evaluates by sweeping the one-step kernel
+matrix T[j', j] = norm * dx * e^{i S_step / hbar}.
+
+Cost.  On the uniform grid the kinetic phase of T depends only on j' - j
+and the midpoint potential only on j + j'.  When V is quadratic on the
+grid (free, linear, harmonic, or any potential that is quadratic in r at
+each step's midpoint time) the step factors exactly as D * Toeplitz * D
+and `StepOperator` applies it by FFT through circulant embedding, in
+O(k * sites log sites) time and O(sites) memory.  Otherwise it applies
+the dense matrix, built from 3*sites exponentials, with BLAS: O(k *
+sites^2) time and 16 * sites^2 bytes, capped by a size guard.
 
 Grid stability (the convergence recipe).  The all-pairs step matrix is a
 sampled Fresnel chirp; if the phase between the farthest site pair advances
@@ -39,6 +48,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .amplitude import Amplitude, born_probability
 from .errors import GridMismatch, TooLarge, UnboundedPotential
@@ -50,9 +61,12 @@ RECIPE_ALIAS_SAFETY = 1.25
 RECIPE_SOURCE_WIDTH_FACTOR = 0.4
 
 _ENUM_GUARD = 10 ** 7
+_DENSE_GUARD = 1 << 30  # bytes of one dense step matrix
 _ENUM_CHUNK = 1 << 16
-_MATVEC_CHUNK = 256
 _MC_CHUNK = 4096
+# A quadratic fit to V within this step phase (rad) makes the FFT step
+# agree with the dense matrix to rounding.
+_FIT_PHASE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,6 +144,14 @@ def convergence_recipe(lag: LagrangianSpec, hbar: float, t_total: float,
     return grid, space, source_width
 
 
+def _midpoint_potential(cfg: PropagatorConfig, step_index: int):
+    """The 2*sites - 1 distinct midpoints r_s = lo + s*dx/2 of site pairs,
+    and V there at the step's midpoint time t_{i-1/2}."""
+    r = cfg.space.lo + 0.5 * cfg.space.dx * np.arange(2 * cfg.space.sites - 1)
+    t_mid = cfg.grid.t_a + (step_index - 0.5) * cfg.grid.epsilon
+    return r, np.broadcast_to(cfg.lag.v(r, t_mid), r.shape)
+
+
 def step_matrix(cfg: PropagatorConfig, step_index: int = 1,
                 phase_free: bool = False) -> np.ndarray:
     """One-step kernel matrix T[j', j] = norm * dx * e^{i S_step / hbar}.
@@ -137,36 +159,122 @@ def step_matrix(cfg: PropagatorConfig, step_index: int = 1,
     step_index selects the midpoint time t_{i-1/2} for time-dependent
     potentials.  With phase_free=True the step action is forced to zero and
     only the modulus |norm| * dx remains (counting-measure mode).
+
+    On the uniform grid T = norm * dx * kin[|j' - j|] * pot[j + j'], so the
+    build takes 3*sites exponentials and one sites x sites allocation; a
+    midpoint where V is not finite gives zero weight.  Raises TooLarge,
+    before allocating, when the matrix would exceed _DENSE_GUARD bytes.
     """
-    x = cfg.space.points()
+    n = cfg.space.sites
+    nbytes = n * n * (8 if phase_free else 16)
+    if nbytes > _DENSE_GUARD:
+        raise TooLarge(f"a {n} x {n} step matrix needs {nbytes} bytes, "
+                       f"over the {_DENSE_GUARD}-byte guard")
     dx = cfg.space.dx
-    eps = cfg.grid.epsilon
     norm = cfg.norm_per_step
     if phase_free:
-        return np.full((x.size, x.size), abs(norm) * dx)
-    dr = x[:, None] - x[None, :]
-    S = 0.5 * cfg.lag.mass * dr * dr / eps
-    t_mid = cfg.grid.t_a + (step_index - 0.5) * eps
-    vmid = cfg.lag.v(0.5 * (x[:, None] + x[None, :]), t_mid)
-    S = S - eps * vmid
-    out = np.zeros_like(S, dtype=complex)
-    ok = np.isfinite(S)
-    out[ok] = norm * dx * np.exp(1j * S[ok] / cfg.hbar)
-    return out
+        return np.full((n, n), abs(norm) * dx)
+    d = dx * np.arange(n)
+    kin = norm * dx * np.exp(1j * cfg.lag.mass * d * d
+                             / (2.0 * cfg.grid.epsilon * cfg.hbar))
+    _, v = _midpoint_potential(cfg, step_index)
+    ok = np.isfinite(v)
+    pot = np.zeros(v.size, dtype=complex)
+    pot[ok] = np.exp(-1j * cfg.grid.epsilon * v[ok] / cfg.hbar)
+    toeplitz = sliding_window_view(np.concatenate([kin[:0:-1], kin]), n)[::-1]
+    hankel = sliding_window_view(pot, n)
+    return toeplitz * hankel
 
 
-def apply_step(Tm: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with fixed-order pairwise row reduction.
+def _quadratic_fit(r: np.ndarray, v: np.ndarray, phase_per_v: float):
+    """(c0, c1, c2) with V = c0 + c1 r + c2 r^2 at every r to within
+    _FIT_PHASE_TOL of step phase phase_per_v * V, or None."""
+    if not np.all(np.isfinite(v)):
+        return None
+    center, half = 0.5 * (r[-1] + r[0]), 0.5 * (r[-1] - r[0])
+    u = (r - center) / half
+    a0, a1, a2 = np.linalg.lstsq(np.stack([np.ones_like(u), u, u * u], axis=1),
+                                 v, rcond=None)[0]
+    c2 = a2 / (half * half)
+    c1 = a1 / half - 2.0 * c2 * center
+    c0 = a0 - a1 * center / half + c2 * center * center
+    if phase_per_v * np.max(np.abs(v - (c0 + (c1 + c2 * r) * r))) > _FIT_PHASE_TOL:
+        return None
+    return c0, c1, c2
 
-    Chunked multiply-and-sum rather than BLAS so the reduction order, and
-    therefore the bit pattern of the result, is independent of thread
-    count and library build.
+
+class StepOperator:
+    """Step i of the sweep: psi -> T psi with T = step_matrix(cfg, i).
+
+    Built once per (config, step index); how a step is applied is chosen
+    from the potential at the 2*sites - 1 midpoints.  When V there is
+    c0 + c1 r + c2 r^2, the midpoint-rule step factors exactly as
+
+        T[j', j] = scale * D(x_j') * g(x_j' - x_j) * D(x_j),
+        g(d) = e^{i (m/(2 eps) + eps c2/4) d^2 / hbar},
+        D(x) = e^{-i eps (c2 x^2/2 + c1 x/2) / hbar},
+        scale = norm * dx * e^{-i eps c0 / hbar},
+
+    and the Toeplitz product with g is an FFT by circulant embedding, with
+    no sites x sites array.  Any other potential, including one that is not
+    finite somewhere on the grid, applies the dense step_matrix with BLAS.
+    phase_free=True is the counting-measure step of step_matrix.
     """
-    out = np.empty(Tm.shape[0], dtype=complex)
-    for i0 in range(0, Tm.shape[0], _MATVEC_CHUNK):
-        i1 = min(i0 + _MATVEC_CHUNK, Tm.shape[0])
-        out[i0:i1] = (Tm[i0:i1] * psi[None, :]).sum(axis=1)
-    return out
+
+    def __init__(self, cfg: PropagatorConfig, step_index: int = 1,
+                 phase_free: bool = False):
+        eps, hbar = cfg.grid.epsilon, cfg.hbar
+        scale = cfg.norm_per_step * cfg.space.dx
+        self._matrix = None
+        if phase_free:
+            chirp, (c0, c1, c2), scale = 0.0, (0.0, 0.0, 0.0), abs(scale)
+        else:
+            fit = _quadratic_fit(*_midpoint_potential(cfg, step_index), eps / hbar)
+            if fit is None:
+                self._matrix = step_matrix(cfg, step_index)
+                return
+            c0, c1, c2 = fit
+            chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
+        n = cfg.space.sites
+        self._size = scipy.fft.next_fast_len(2 * n - 1)
+        d = cfg.space.dx * np.arange(n)
+        g = np.zeros(self._size, dtype=complex)
+        g[:n] = np.exp(1j * chirp * d * d / hbar)
+        g[self._size - n + 1:] = g[n - 1:0:-1]
+        self._g_hat = scipy.fft.fft(g)
+        x = cfg.space.points()
+        self._d_in = np.exp(-1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
+        self._d_out = scale * np.exp(-1j * eps * c0 / hbar) * self._d_in
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """T psi for a vector psi over the grid sites."""
+        if self._matrix is not None:
+            return self._matrix @ psi
+        u = scipy.fft.fft(self._d_in * psi, self._size)
+        return self._d_out * scipy.fft.ifft(u * self._g_hat)[:self._d_in.size]
+
+
+def sweep(cfg: PropagatorConfig, psi: np.ndarray,
+          step: Optional[StepOperator] = None, keep: bool = False):
+    """psi after the k steps of cfg, T_k ... T_1 psi; with keep=True the
+    list psi_0 .. psi_k.
+
+    By default a time-independent potential builds one StepOperator for
+    the sweep and a time-dependent one builds one per step.  A given step
+    operator is applied at every step, so that several sweeps of one
+    time-independent configuration share one build.
+    """
+    rebuild = cfg.lag.time_dependent
+    if step is not None and rebuild:
+        raise ValueError("a shared step operator needs a time-independent potential")
+    states = [psi]
+    for i in range(1, cfg.grid.k + 1):
+        if step is None or (rebuild and i > 1):
+            step = StepOperator(cfg, i)
+        psi = step.apply(psi)
+        if keep:
+            states.append(psi)
+    return states if keep else psi
 
 
 def gaussian_window(x: np.ndarray, center: float, width: float,
@@ -197,8 +305,6 @@ def propagate_transfer_matrix(cfg: PropagatorConfig,
     dx = cfg.space.dx
     ja = cfg.space.nearest_index(cfg.a)
     jb = cfg.space.nearest_index(cfg.b)
-    rebuild = cfg.lag.time_dependent
-    Tm = step_matrix(cfg, 1)
     if source_width is None:
         psi = np.zeros(x.size, dtype=complex)
         psi[ja] = 1.0 / dx
@@ -207,10 +313,7 @@ def propagate_transfer_matrix(cfg: PropagatorConfig,
         momentum = (cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration
                     if source_momentum is None else source_momentum)
         psi = gaussian_window(x, cfg.a, source_width, momentum, cfg.hbar)
-    for i in range(1, cfg.grid.k + 1):
-        if rebuild and i > 1:
-            Tm = step_matrix(cfg, i)
-        psi = apply_step(Tm, psi)
+    psi = sweep(cfg, psi)
     if source_width is None:
         value = complex(psi[jb])
     else:
@@ -240,12 +343,7 @@ def transfer_matrix_vector(cfg: PropagatorConfig, start: float,
         psi[cfg.space.nearest_index(start)] = 1.0 / cfg.space.dx
     else:
         psi = gaussian_window(x, start, source_width, source_momentum, cfg.hbar)
-    Tm = step_matrix(cfg, 1)
-    for i in range(1, cfg.grid.k + 1):
-        if cfg.lag.time_dependent and i > 1:
-            Tm = step_matrix(cfg, i)
-        psi = apply_step(Tm, psi)
-    return psi
+    return sweep(cfg, psi)
 
 
 def compose(kernel_from_a: np.ndarray, kernel_to_b: np.ndarray, dx: float) -> Amplitude:

@@ -21,7 +21,7 @@ from cardpath.lattice import (LatticePath, SpaceGrid, TimeGrid,
 from cardpath.oracles import (AnalyticKernel, analytic_propagator,
                               euclidean_harmonic_kernel,
                               shooting_euler_lagrange)
-from cardpath.propagator import (PropagatorConfig, apply_step, compose,
+from cardpath.propagator import (PropagatorConfig, compose,
                                  convergence_recipe, gaussian_window,
                                  propagate_enumerate,
                                  propagate_monte_carlo_euclidean,
@@ -220,7 +220,7 @@ def test_criterion_10_kernel_composition():
     chi = np.conj(gaussian_window(x, b, sw, p, hbar))
     Tm = step_matrix(cfg_half, 1)
     for _ in range(half.k):
-        chi = apply_step(Tm, chi)
+        chi = Tm @ chi
     glued = compose(from_a, chi, space.dx).to_complex()
     rel = abs(glued - whole) / abs(whole)
     ok = rel <= 1e-8

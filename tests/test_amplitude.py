@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cardpath.amplitude import (Amplitude, WaveSample, born_probability,
@@ -74,12 +74,16 @@ def test_whole_turn_shift_is_identity(A, n, c):
 
 
 @given(finite, finite, finite, finite)
+@example(500823.2109375, 552716.2109375, -490009.0, -550534.0)
 @settings(max_examples=200, deadline=None)
 def test_superposition_probability_identity(ar, ai, br, bi):
     a, b = Amplitude(ar, ai), Amplitude(br, bi)
     total = born_probability(superpose(a, b))
     split = born_probability(a) + born_probability(b) + interference_cross_term(a, b)
-    scale = max(1.0, abs(total))
+    # forward-error scale: each summand is rounded relative to its own size,
+    # which can far exceed |total| when a and b nearly cancel
+    ma, mb = math.hypot(ar, ai), math.hypot(br, bi)
+    scale = max(1.0, ma * ma + mb * mb + 2.0 * ma * mb)
     assert abs(total - split) <= 1e-12 * scale
 
 

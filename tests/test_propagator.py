@@ -4,18 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from cardpath import propagator
 from cardpath.errors import GridMismatch, TooLarge, UnboundedPotential
 from cardpath.lattice import (LagrangianSpec, SpaceGrid, TimeGrid,
                               free_particle, harmonic_oscillator,
                               linear_potential)
 from cardpath.oracles import (AnalyticKernel, analytic_propagator,
                               euclidean_harmonic_kernel, naive_enumeration)
-from cardpath.propagator import (PropagatorConfig, apply_step, compose,
+from cardpath.propagator import (PropagatorConfig, compose,
                                  convergence_recipe, gaussian_window,
                                  propagate_enumerate,
                                  propagate_monte_carlo_euclidean,
                                  propagate_transfer_matrix,
-                                 result_to_json_record, step_matrix,
+                                 result_to_json_record, step_matrix, sweep,
                                  transfer_matrix_vector)
 
 
@@ -69,11 +70,118 @@ def test_single_step_kernel_in_closed_form():
     assert abs(got - expect) < 1e-14
 
 
+def _walled(r, t):
+    # walls off any grid midpoint, where rounding would decide the side
+    r = np.asarray(r, dtype=float)
+    return np.where(np.abs(r) > 0.605, np.inf, 0.0)
+
+
+def _direct_step_matrix(cfg, step_index):
+    # T[j', j] = norm * dx * e^{i S_step / hbar}, one exponential per entry
+    x = cfg.space.points()
+    eps = cfg.grid.epsilon
+    t_mid = cfg.grid.t_a + (step_index - 0.5) * eps
+    dr = x[:, None] - x[None, :]
+    S = 0.5 * cfg.lag.mass * dr * dr / eps \
+        - eps * cfg.lag.v(0.5 * (x[:, None] + x[None, :]), t_mid)
+    out = np.zeros(S.shape, dtype=complex)
+    ok = np.isfinite(S)
+    out[ok] = cfg.norm_per_step * cfg.space.dx * np.exp(1j * S[ok] / cfg.hbar)
+    return out
+
+
 def test_step_matrix_is_symmetric():
-    for lag in (free_particle(), harmonic_oscillator(1.0, 1.5)):
-        cfg = _small_cfg(lag, k=3, sites=20)
-        Tm = step_matrix(cfg, 1)
-        assert np.array_equal(Tm, Tm.T)
+    # the Toeplitz build is exactly symmetric and matches the direct N^2
+    # formula, one exponential per entry
+    td = LagrangianSpec(mass=1.3, time_dependent=True, label="td",
+                        potential=lambda r, t: 0.4 * r * r + np.sin(3.0 * t))
+    quartic = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4)
+    walled = LagrangianSpec(mass=1.0, potential=_walled, label="box")
+    for lag in (free_particle(), harmonic_oscillator(1.0, 1.5), td, quartic,
+                walled):
+        for sites, hbar in ((20, 1.0), (101, 0.3)):
+            cfg = _small_cfg(lag, k=3, sites=sites, hbar=hbar)
+            Tm = step_matrix(cfg, 2)
+            assert np.array_equal(Tm, Tm.T)
+            direct = _direct_step_matrix(cfg, 2)
+            assert np.array_equal(Tm == 0, direct == 0)
+            assert np.max(np.abs(Tm - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def _count_builds(monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return step_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "step_matrix", counted)
+    return builds
+
+
+def _dense_sweep(cfg, psi):
+    for i in range(1, cfg.grid.k + 1):
+        psi = step_matrix(cfg, i) @ psi
+    return psi
+
+
+def test_fft_step_matches_dense_sweep(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    rng = np.random.default_rng(44)
+    for trial in range(40):
+        mass = float(rng.uniform(0.5, 2.0))
+        omega = float(rng.uniform(0.0, 2.0))
+        c1 = float(rng.uniform(-1.0, 1.0))
+        amp = float(rng.uniform(0.0, 1.0)) if trial % 2 else 0.0
+
+        def v(r, t, mass=mass, omega=omega, c1=c1, amp=amp):
+            return 0.5 * mass * omega ** 2 * r * r + c1 * r + amp * np.sin(3.0 * t)
+
+        lag = LagrangianSpec(mass=mass, potential=v, time_dependent=amp > 0.0)
+        lo, hi = float(rng.uniform(-2.0, -0.5)), float(rng.uniform(0.5, 2.0))
+        cfg = PropagatorConfig(grid=TimeGrid(0.0, 1.0, int(rng.integers(1, 7))),
+                               space=SpaceGrid(lo, hi, int(rng.integers(2, 80))),
+                               lag=lag, hbar=float(rng.uniform(0.3, 2.0)),
+                               a=0.0, b=0.0)
+        x = cfg.space.points()
+        if trial % 4 < 2:
+            psi = np.zeros(x.size, dtype=complex)
+            psi[int(rng.integers(0, x.size))] = 1.0 / cfg.space.dx
+        else:
+            psi = gaussian_window(x, float(rng.uniform(lo, hi)), 0.3,
+                                  float(rng.uniform(-2.0, 2.0)), cfg.hbar)
+        got = sweep(cfg, psi)
+        assert not builds, "a quadratic potential built a dense matrix"
+        want = _dense_sweep(cfg, psi)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), trial
+
+
+def test_non_quadratic_potentials_take_the_dense_path(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    quartic = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4)
+    walled = LagrangianSpec(mass=1.0, potential=_walled, label="box")
+    for lag in (quartic, walled):
+        cfg = _small_cfg(lag, k=4, sites=40)
+        psi = gaussian_window(cfg.space.points(), 0.0, 0.3, 0.5, 1.0)
+        builds.clear()
+        assert np.array_equal(sweep(cfg, psi), _dense_sweep(cfg, psi))
+        assert len(builds) == 1
+
+
+def test_dense_step_matrix_guard():
+    # refused from the site count alone, before anything is allocated
+    space = SpaceGrid(-1.0, 1.0, 100_000)
+    quartic = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4)
+    cfg = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 1), space=space,
+                           lag=quartic, hbar=1.0, a=0.0, b=0.5)
+    with pytest.raises(TooLarge):
+        step_matrix(cfg, 1)
+    with pytest.raises(TooLarge):
+        propagate_transfer_matrix(cfg)
+    # a quadratic potential on the same grid never needs the matrix
+    free = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 1), space=space,
+                            lag=free_particle(), hbar=1.0, a=0.0, b=0.5)
+    assert math.isfinite(abs(propagate_transfer_matrix(free).value.to_complex()))
 
 
 def test_hard_wall_paths_drop_out_consistently():
@@ -197,7 +305,7 @@ def test_counting_limit_at_large_hbar():
         psi[ja] = 1.0 / space.dx
         Tm = step_matrix(cfg, 1, phase_free=True)
         for _ in range(grid.k):
-            psi = apply_step(Tm, psi)
+            psi = Tm @ psi
         k_pf = psi[jb].real
         diffs.append(abs(k_mod - k_pf) / k_pf)
     assert diffs[0] > diffs[1] > diffs[2]
@@ -226,7 +334,7 @@ def test_composition_identity():
     chi = np.conj(wb)
     Tm = step_matrix(cfg_half, 1)
     for _ in range(half.k):
-        chi = apply_step(Tm, chi)
+        chi = Tm @ chi
     glued = compose(from_a, chi, space.dx).to_complex()
     assert abs(glued - whole) / abs(whole) < 1e-10
 
@@ -246,7 +354,7 @@ def test_packet_norm_is_preserved():
     norm0 = float(np.sum(np.abs(psi) ** 2) * space.dx)
     Tm = step_matrix(cfg, 1)
     for _ in range(grid.k):
-        psi = apply_step(Tm, psi)
+        psi = Tm @ psi
     norm1 = float(np.sum(np.abs(psi) ** 2) * space.dx)
     # drift is ~3e-4 at this resolution and shrinks with finer grids; the
     # engine-level promise is staying under one percent over a full sweep
