@@ -20,7 +20,7 @@ from .intermediate_set import (IntermediatePoint, MappingDistribution, UnitSet,
                                realize_population, unit_set_of)
 from .lattice import (LagrangianSpec, LatticePath, SpaceGrid, TimeGrid,
                       discretized_action, free_particle, harmonic_oscillator,
-                      linear_potential, path_amplitude, winding_of)
+                      linear_potential, winding_of)
 from .oracles import AnalyticKernel, analytic_propagator, naive_enumeration, \
     shooting_euler_lagrange
 from .propagator import (PropagatorConfig, PropagatorResult, compose,
@@ -40,7 +40,7 @@ __all__ = [
     "realize_mapping", "realize_population", "unit_set_of",
     "LagrangianSpec", "LatticePath", "SpaceGrid", "TimeGrid",
     "discretized_action", "free_particle", "harmonic_oscillator",
-    "linear_potential", "path_amplitude", "winding_of",
+    "linear_potential", "winding_of",
     "AnalyticKernel", "analytic_propagator", "naive_enumeration",
     "shooting_euler_lagrange",
     "PropagatorConfig", "PropagatorResult", "compose", "convergence_recipe",

@@ -152,13 +152,6 @@ class ConcentrationScan:
             if not (-1e-9 <= f <= 1.0 + 1e-9):
                 raise ValueError(f"mass fraction {f} outside [0, 1]")
 
-    def to_csv(self) -> str:
-        lines = ["hbar,m_scale,mass_fraction,runtime_ms"]
-        for h, m, f, rt in zip(self.hbar_values, self.m_scale,
-                               self.mass_fraction, self.runtime_ms):
-            lines.append(f"{h:.17g},{m:.17g},{f:.17g},{rt:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
                          centers: Sequence[float], source_width: float,

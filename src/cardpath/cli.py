@@ -30,8 +30,9 @@ from .intermediate_set import (IntermediatePoint, MappingDistribution,
                                collect_unit_sets, realize_population)
 from .lattice import SpaceGrid, TimeGrid, free_particle, harmonic_oscillator
 from .oracles import AnalyticKernel, analytic_propagator
-from .propagator import (RECIPE_K, PropagatorConfig, convergence_recipe,
-                         gaussian_window, propagate_transfer_matrix, sweep)
+from .propagator import (RECIPE_K, PropagatorConfig, StepOperator,
+                         convergence_recipe, gaussian_window,
+                         propagate_transfer_matrix, sweep)
 
 _EXPERIMENTS = ("propagator_convergence", "interference",
                 "concentration_scan", "mapping_demo")
@@ -167,6 +168,9 @@ def _require(cond: bool, key: str, why: str):
 
 
 def _validate(experiment: str, p: dict):
+    for key, val in p.items():
+        if isinstance(val, float):
+            _require(math.isfinite(val), key, "must be finite")
     for key in ("mass", "hbar", "t_total", "omega", "delta",
                 "slit_separation", "slit_width", "screen_half_width"):
         if key in p:
@@ -175,8 +179,8 @@ def _validate(experiment: str, p: dict):
         _require(p["k"] >= 1, "k", "must be at least 1")
     if experiment == "concentration_scan":
         _require(p["k"] >= 2, "k", "needs at least one interior slice (k >= 2)")
-        _require(all(h > 0 for h in p["hbar_values"]), "hbar_values",
-                 "entries must be positive")
+        _require(all(math.isfinite(h) and h > 0 for h in p["hbar_values"]),
+                 "hbar_values", "entries must be finite and positive")
     if experiment == "interference":
         _require(p["screen_half_width"] > p["slit_separation"],
                  "screen_half_width", "screen must be wider than the slit pair")
@@ -260,10 +264,11 @@ def run_interference(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
     pcfg = PropagatorConfig(grid=grid, space=space, lag=free_particle(mass),
                             hbar=hbar, a=-0.5 * d, b=0.5 * d)
     t0 = time.perf_counter()
+    step = StepOperator(pcfg, 1)  # size guard before any grid-sized array
     x = space.points()
     src = (gaussian_window(x, -0.5 * d, w, 0.0, hbar)
            + gaussian_window(x, 0.5 * d, w, 0.0, hbar))
-    psi = sweep(pcfg, src)
+    psi = sweep(pcfg, src, step)
     intensity = np.abs(psi) ** 2
     thr = 0.02 * intensity.max()
     interior = (intensity[1:-1] > intensity[:-2]) \

@@ -4,10 +4,19 @@ A point carries a real-valued countable coordinate n whose integer part
 names its unit set, plus an optional realized image r.  Realization draws
 r once from an explicit distribution; repeated draws with the same
 (point, distribution, seed) triple replay identically.
+
+The draw for a point is the uniform
+
+    u = numpy.random.default_rng(SeedSequence(entropy=[seed mod 2**64,
+                                                       bits of n])).random()
+
+with "bits of n" the IEEE-754 bit pattern of float64(n) read as an
+unsigned integer, mapped through the distribution's inverse CDF.
+`_uniforms` computes that number for a whole array of n in one pass,
+without a SeedSequence or Generator per point.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -20,6 +29,14 @@ from .errors import AlreadyRealized, InvalidDistribution
 _DENSITY_TOL = 1e-9
 _CDF_NODES = 20001
 
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_LIMBS = tuple((_PCG_MULT >> (32 * i)) & _MASK32 for i in range(4))
+
 
 @dataclass(frozen=True)
 class IntermediatePoint:
@@ -27,7 +44,6 @@ class IntermediatePoint:
 
     n: float
     image: Optional[float] = None
-    realized_at: Optional[float] = None
 
     def __post_init__(self):
         if not math.isfinite(self.n):
@@ -108,41 +124,133 @@ class MappingDistribution:
                      density: Callable[[np.ndarray], np.ndarray]) -> "MappingDistribution":
         return cls(lo, hi, density=density)
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Inverse-CDF draw(s); scalar when size is None."""
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """Images of uniforms u in [0, 1), elementwise."""
         if self.atom is not None:
-            if size is None:
-                return self.atom
-            return np.full(size, self.atom)
-        u = rng.random(size=size)
+            return np.full(np.shape(u), self.atom, dtype=float)
         return np.interp(u, self._cdf_grid, self._xs)
 
 
-def _seed_sequence_for(point: IntermediatePoint, seed: int) -> np.random.SeedSequence:
-    # Fold the countable coordinate into the entropy via its IEEE bit
-    # pattern, so distinct points with the same seed draw independently
-    # while replays are exact.
-    n_bits = int(np.float64(point.n).view(np.uint64))
-    return np.random.SeedSequence(entropy=[int(seed) & ((1 << 64) - 1), n_bits])
+def _hash_constants(init: int, mult: int, count: int):
+    """(xor, multiplier) pairs of count successive SeedSequence hashes."""
+    pairs = []
+    for _ in range(count):
+        nxt = init * mult & _MASK32
+        pairs.append((init, nxt))
+        init = nxt
+    return pairs
+
+
+# a pool of 4 words takes 4 + 12 mixing hashes; generate_state(4, uint64)
+# takes 8 output hashes
+_MIX_HASHES = _hash_constants(_INIT_A, _MULT_A, 16)
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hash(v: np.ndarray, xor: int, mult: int) -> np.ndarray:
+    v = (v ^ xor) * mult
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _carry(limbs):
+    """32-bit limbs (low first) with carries propagated, mod 2**128."""
+    out, c = [], 0
+    for limb in limbs:
+        limb = limb + c
+        out.append(limb & _MASK32)
+        c = limb >> 32
+    return out
+
+
+def _pcg_step(state, inc):
+    """state * multiplier + inc mod 2**128, on uint64 arrays of 32-bit limbs.
+
+    Each limb of the sum collects at most eight 32-bit halves of partial
+    products, so it stays below 2**35 until the carries are propagated.
+    """
+    acc = list(inc)
+    for i, a in enumerate(state):
+        for j, m in enumerate(_PCG_MULT_LIMBS[:4 - i]):
+            p = a * m
+            acc[i + j] = acc[i + j] + (p & _MASK32)
+            if i + j < 3:
+                acc[i + j + 1] = acc[i + j + 1] + (p >> 32)
+    return _carry(acc)
+
+
+def _uniforms(ns: np.ndarray, seed: int) -> np.ndarray:
+    """The uniform draw of every countable coordinate in ns under seed.
+
+    Equals default_rng(SeedSequence(entropy=[seed mod 2**64, bits of n]))
+    .random() for each n: the SeedSequence pool mix and
+    generate_state(4, uint64), PCG64 seeding, one step, the XSL-RR output
+    and (x >> 11) * 2**-53, in 32-bit limbs.
+
+    SeedSequence splits each entropy integer into its 32-bit words, low
+    first (one word for a value below 2**32), and pads the pool with zero
+    words, so a high word of n that is zero and the padding hash alike.
+    """
+    bits = np.ascontiguousarray(ns, dtype=np.float64).view(np.uint64)
+    s = int(seed) & ((1 << 64) - 1)
+    seed_words = [s & _MASK32] + ([s >> 32] if s >> 32 else [])
+    words = [np.full(bits.shape, w, dtype=np.uint32) for w in seed_words]
+    words += [(bits & _MASK32).astype(np.uint32), (bits >> 32).astype(np.uint32)]
+    words += [np.zeros(bits.shape, dtype=np.uint32)] * (4 - len(words))
+    hashes = iter(_MIX_HASHES)
+    pool = [_hash(w, *next(hashes)) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hashes)))
+    w = [_hash(pool[i % 4], *xm).astype(np.uint64)
+         for i, xm in enumerate(_STATE_HASHES)]
+    # generate_state's uint64 words are (w0|w1), (w2|w3), ...; PCG64 takes
+    # the first pair as (high, low) of the initial state, the second as
+    # (high, low) of the stream, and increments by 2 * stream + 1
+    initstate = [w[2], w[3], w[0], w[1]]
+    seq = [w[6], w[7], w[4], w[5]]
+    inc = [((seq[0] << 1) & _MASK32) | 1] + [
+        ((seq[i] << 1) & _MASK32) | (seq[i - 1] >> 31) for i in range(1, 4)]
+    # seeding steps once from state 0, which gives inc, adds the initial
+    # state and steps again; random() steps once more before its output
+    state = _carry([a + b for a, b in zip(inc, initstate)])
+    state = _pcg_step(_pcg_step(state, inc), inc)
+    hi = (state[3] << 32) | state[2]
+    x = hi ^ ((state[1] << 32) | state[0])
+    rot = state[3] >> 26
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    return (x >> 11).astype(np.float64) * 2.0 ** -53
+
+
+def realize_population(points, dist: MappingDistribution, seed: int):
+    """Realize many points under one seed, in one vectorized draw.
+
+    Each image depends only on (n, dist, seed), never on the other points
+    or their order.  Raises AlreadyRealized if any image is already set.
+    """
+    points = list(points)
+    for pt in points:
+        if pt.image is not None:
+            raise AlreadyRealized(f"point n={pt.n} already has image {pt.image}")
+    ns = np.fromiter((pt.n for pt in points), dtype=float, count=len(points))
+    images = dist.inverse_cdf(_uniforms(ns, seed)).tolist()
+    return [IntermediatePoint(pt.n, r) for pt, r in zip(points, images)]
 
 
 def realize_mapping(point: IntermediatePoint, dist: MappingDistribution,
-                    seed: int, t: Optional[float] = None) -> IntermediatePoint:
-    """Draw the continuous image of a point, once.
+                    seed: int) -> IntermediatePoint:
+    """Draw the continuous image of a point, once: the one-point case of
+    realize_population.
 
     Deterministic: the same (point, dist, seed) triple always yields the
     same image.  Raises AlreadyRealized if the image is already set.
     """
-    if point.image is not None:
-        raise AlreadyRealized(f"point n={point.n} already has image {point.image}")
-    rng = np.random.default_rng(_seed_sequence_for(point, seed))
-    r = float(dist.sample(rng))
-    return dataclasses.replace(point, image=r, realized_at=t)
-
-
-def realize_population(points, dist: MappingDistribution, seed: int):
-    """Realize many points under one seed; order-independent per point."""
-    return [realize_mapping(pt, dist, seed) for pt in points]
+    return realize_population([point], dist, seed)[0]
 
 
 def unit_set_of(point: IntermediatePoint) -> int:

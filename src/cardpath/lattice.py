@@ -10,14 +10,13 @@ treat such paths as carrying zero weight.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .amplitude import Amplitude, WaveSample, born_probability, phase_from_count
+from .amplitude import WaveSample, born_probability, phase_from_count
 from .errors import GridMismatch, NonpositiveUnit, ZeroDenominator
 
 
@@ -140,15 +139,6 @@ def linear_potential(mass: float = 1.0, g: float = 1.0) -> LagrangianSpec:
                           label=f"linear(g={g:g})")
 
 
-@dataclass(frozen=True)
-class PathAmplitude:
-    """Per-path amplitude: winding m = S/h times a modulus ratio."""
-
-    winding: float
-    modulus_ratio: float
-    value: Amplitude
-
-
 def discretized_action(path: LatticePath, grid: TimeGrid, lag: LagrangianSpec) -> float:
     """Midpoint-rule action of one lattice path."""
     r = path.as_array()
@@ -193,23 +183,3 @@ def path_probability_product(samples: Sequence[WaveSample]) -> float:
     for prev, next in zip(samples[:-1], samples[1:]):
         prod *= transition_ratio(prev, next)
     return prod
-
-
-def path_amplitude(path: LatticePath, grid: TimeGrid, lag: LagrangianSpec,
-                   h: float, modulus_ratio: float) -> PathAmplitude:
-    """Amplitude carried by one path: modulus_ratio * e^(2*pi*i*S/h)."""
-    S = discretized_action(path, grid, lag)
-    m = winding_of(S, h)
-    value = phase_from_count(WaveSample(modulus_ratio, m))
-    return PathAmplitude(winding=m, modulus_ratio=modulus_ratio, value=value)
-
-
-def path_to_csv(path: LatticePath, grid: TimeGrid) -> str:
-    """CSV rows t_i, r_i with 17 significant digits."""
-    if len(path.sites) != grid.k + 1:
-        raise GridMismatch("path and grid lengths differ")
-    buf = io.StringIO()
-    buf.write("t,r\n")
-    for t, r in zip(grid.times(), path.sites):
-        buf.write(f"{t:.17g},{r:.17g}\n")
-    return buf.getvalue()

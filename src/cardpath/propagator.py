@@ -15,9 +15,16 @@ and the midpoint potential only on j + j'.  When V is quadratic on the
 grid (free, linear, harmonic, or any potential that is quadratic in r at
 each step's midpoint time) the step factors exactly as D * Toeplitz * D
 and `StepOperator` applies it by FFT through circulant embedding, in
-O(k * sites log sites) time and O(sites) memory.  Otherwise it applies
+O(k * sites log sites) time and about 128 * sites bytes, under the same
+size guard as the dense matrix.  Otherwise it applies
 the dense matrix, built from 3*sites exponentials, with BLAS: O(k *
 sites^2) time and 16 * sites^2 bytes, capped by a size guard.
+
+Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
+It evaluates V on about (k-2) * sites^2 site pairs, once per step, and
+spends one addition per step and one complex exponential per path, in
+blocks of at most about 2^16 paths (or one site's worth): O(k * sites^(k-1))
+time and O(2^16 + k * sites^2) memory.
 
 Grid stability (the convergence recipe).  The all-pairs step matrix is a
 sampled Fresnel chirp; if the phase between the farthest site pair advances
@@ -42,9 +49,10 @@ the pointwise kernel is recovered as source_width -> 0.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,7 +69,7 @@ RECIPE_ALIAS_SAFETY = 1.25
 RECIPE_SOURCE_WIDTH_FACTOR = 0.4
 
 _ENUM_GUARD = 10 ** 7
-_DENSE_GUARD = 1 << 30  # bytes of one dense step matrix
+_DENSE_GUARD = 1 << 30  # bytes of one step operator: its dense matrix or FFT arrays
 _ENUM_CHUNK = 1 << 16
 _MC_CHUNK = 4096
 # A quadratic fit to V within this step phase (rad) makes the FFT step
@@ -106,20 +114,6 @@ class PropagatorResult:
     def probability(self) -> float:
         """Transition probability |K|^2 (squared-modulus rule)."""
         return born_probability(self.value)
-
-
-def result_to_json_record(res: PropagatorResult) -> dict:
-    rec = {
-        "method": res.method,
-        "k": res.k,
-        "sites": res.sites,
-        "re": res.value.re,
-        "im": res.value.im,
-        "runtime_ms": res.runtime_ms,
-    }
-    if res.stderr is not None:
-        rec["stderr"] = res.stderr
-    return rec
 
 
 def convergence_recipe(lag: LagrangianSpec, hbar: float, t_total: float,
@@ -219,10 +213,21 @@ class StepOperator:
     no sites x sites array.  Any other potential, including one that is not
     finite somewhere on the grid, applies the dense step_matrix with BLAS.
     phase_free=True is the counting-measure step of step_matrix.
+
+    Raises TooLarge before allocating anything grid-sized when the FFT
+    path's own arrays would exceed _DENSE_GUARD bytes; the dense path is
+    then larger still.
     """
 
     def __init__(self, cfg: PropagatorConfig, step_index: int = 1,
                  phase_free: bool = False):
+        n = cfg.space.sites
+        size = scipy.fft.next_fast_len(2 * n - 1)
+        # midpoints and V there, g and its transform, D_in and D_out
+        nbytes = 16 * (2 * n - 1) + 32 * size + 32 * n
+        if nbytes > _DENSE_GUARD:
+            raise TooLarge(f"a {n}-site step operator needs {nbytes} bytes, "
+                           f"over the {_DENSE_GUARD}-byte guard")
         eps, hbar = cfg.grid.epsilon, cfg.hbar
         scale = cfg.norm_per_step * cfg.space.dx
         self._matrix = None
@@ -235,8 +240,7 @@ class StepOperator:
                 return
             c0, c1, c2 = fit
             chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
-        n = cfg.space.sites
-        self._size = scipy.fft.next_fast_len(2 * n - 1)
+        self._size = size
         d = cfg.space.dx * np.arange(n)
         g = np.zeros(self._size, dtype=complex)
         g[:n] = np.exp(1j * chirp * d * d / hbar)
@@ -259,14 +263,13 @@ def sweep(cfg: PropagatorConfig, psi: np.ndarray,
     """psi after the k steps of cfg, T_k ... T_1 psi; with keep=True the
     list psi_0 .. psi_k.
 
-    By default a time-independent potential builds one StepOperator for
-    the sweep and a time-dependent one builds one per step.  A given step
-    operator is applied at every step, so that several sweeps of one
-    time-independent configuration share one build.
+    A time-independent potential builds one StepOperator for the sweep and
+    a time-dependent one builds one per step.  A given step must be
+    StepOperator(cfg, 1): it serves step 1, and every step when the
+    potential is time-independent, so that several sweeps of one
+    configuration share one build.
     """
     rebuild = cfg.lag.time_dependent
-    if step is not None and rebuild:
-        raise ValueError("a shared step operator needs a time-independent potential")
     states = [psi]
     for i in range(1, cfg.grid.k + 1):
         if step is None or (rebuild and i > 1):
@@ -301,6 +304,7 @@ def propagate_transfer_matrix(cfg: PropagatorConfig,
     oracles.analytic_propagator(..., source_width=s).
     """
     t0 = time.perf_counter()
+    step = StepOperator(cfg, 1)  # size guard before any grid-sized array
     x = cfg.space.points()
     dx = cfg.space.dx
     ja = cfg.space.nearest_index(cfg.a)
@@ -313,7 +317,7 @@ def propagate_transfer_matrix(cfg: PropagatorConfig,
         momentum = (cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration
                     if source_momentum is None else source_momentum)
         psi = gaussian_window(x, cfg.a, source_width, momentum, cfg.hbar)
-    psi = sweep(cfg, psi)
+    psi = sweep(cfg, psi, step)
     if source_width is None:
         value = complex(psi[jb])
     else:
@@ -353,20 +357,18 @@ def compose(kernel_from_a: np.ndarray, kernel_to_b: np.ndarray, dx: float) -> Am
     return Amplitude.from_complex(complex((kernel_to_b * kernel_from_a).sum() * dx))
 
 
-def _interior_digits(indices: np.ndarray, n_digits: int, base: int) -> np.ndarray:
-    digits = np.empty((indices.size, n_digits), dtype=np.int64)
-    rem = indices.copy()
-    for d in range(n_digits):
-        digits[:, d] = rem % base
-        rem //= base
-    return digits
-
-
 def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     """Exact sum over all sites^(k-1) interior assignments, endpoints pinned.
 
-    Vectorized mixed-radix enumeration in chunks; paths through a midpoint
-    where the potential is +inf carry zero weight.
+    Each step's action is evaluated once on site pairs at the step's
+    midpoint time: a row out of a for step 1, a column into b for step k,
+    and a sites x sites block for each interior step.  The partial actions
+    over the fastest interior sites are broadcast into one block of at most
+    about _ENUM_CHUNK paths (at least one site's worth), and the remaining
+    sites are looped over in mixed radix.  Every path's action is summed in
+    step order, ((S_1 + S_2) + ...) + S_k, so its bits do not depend on the
+    blocking.  Paths through a midpoint where the potential is +inf carry
+    zero weight.
     """
     t0 = time.perf_counter()
     k = cfg.grid.k
@@ -382,22 +384,38 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     jb = cfg.space.nearest_index(cfg.b)
     tmids = cfg.grid.midpoint_times()
     mass, hbar = cfg.lag.mass, cfg.hbar
-    acc = 0.0 + 0.0j
-    for c0 in range(0, total, _ENUM_CHUNK):
-        c1 = min(c0 + _ENUM_CHUNK, total)
-        idx = np.arange(c0, c1, dtype=np.int64)
-        pos = np.empty((idx.size, k + 1))
-        pos[:, 0] = x[ja]
-        pos[:, k] = x[jb]
-        if n_int:
-            pos[:, 1:k] = x[_interior_digits(idx, n_int, sites)]
-        S = np.zeros(idx.size)
-        for i in range(1, k + 1):
-            drv = (pos[:, i] - pos[:, i - 1]) / eps
-            vm = cfg.lag.v(0.5 * (pos[:, i] + pos[:, i - 1]), tmids[i - 1])
-            S += (0.5 * mass * drv * drv - vm) * eps
-        ok = np.isfinite(S)
-        acc += np.sum(np.exp(1j * S[ok] / hbar))
+
+    def step_action(i, r0, r1):
+        drv = (r1 - r0) / eps
+        vm = cfg.lag.v(0.5 * (r1 + r0), tmids[i - 1])
+        return (0.5 * mass * drv * drv - vm) * eps
+
+    def weight(S):
+        return np.sum(np.exp(1j * S[np.isfinite(S)] / hbar))
+
+    xa, xb = x[ja:ja + 1], x[jb:jb + 1]
+    if n_int == 0:
+        acc = weight(step_action(1, xa, xb))
+    else:
+        # pairs[i - 2][p, q]: action of step i from site p to site q
+        pairs = [step_action(i, x[:, None], x[None, :]) for i in range(2, k)]
+        last = step_action(k, x, xb)
+        fast = 1
+        while fast < n_int and sites ** (fast + 1) <= _ENUM_CHUNK:
+            fast += 1
+        # head[j_1, .., j_fast]: actions of steps 1 .. fast
+        head = step_action(1, xa, x)
+        for block in pairs[:fast - 1]:
+            head = head[..., None] + block
+        if fast == n_int:
+            acc = weight(head + last)
+        else:
+            acc = 0.0 + 0.0j
+            for slow in itertools.product(range(sites), repeat=n_int - fast):
+                S = head + pairs[fast - 1][:, slow[0]]
+                for i in range(1, len(slow)):
+                    S = S + pairs[fast - 1 + i][slow[i - 1], slow[i]]
+                acc += weight(S + last[slow[-1]])
     norm = cfg.norm_per_step
     value = (norm ** k) * (dx ** n_int) * acc
     dt = (time.perf_counter() - t0) * 1e3

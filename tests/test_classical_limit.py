@@ -144,18 +144,6 @@ def test_concentration_scan_small():
                                                  scan.dx_values))
 
 
-def test_scan_csv_layout():
-    scan = concentration_scan(free_particle(1.0), 1.0, 0.0, 1.0,
-                              [0.5], 0.2, k=4)
-    text = scan.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "hbar,m_scale,mass_fraction,runtime_ms"
-    assert len(lines) == 2
-    row = lines[1].split(",")
-    assert float(row[0]) == 0.5
-    assert 0.0 <= float(row[2]) <= 1.0
-
-
 def test_scan_invariant_rejects_out_of_range_fraction():
     with pytest.raises(ValueError):
         ConcentrationScan(hbar_values=(1.0,), delta=0.1, mass_fraction=(1.5,),

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from cardpath import cli
 from cardpath.cli import (ExperimentConfig, main, mapping_demo,
                           parse_config_text, resolve_config, run)
 from cardpath.errors import ConfigError
+from cardpath.intermediate_set import IntermediatePoint
 
 
 def test_parse_config_comments_and_blanks():
@@ -136,6 +139,55 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
         assert files1 == sorted(f.name for f in out2.iterdir())
         for f in files1:
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
+
+
+def _reference_population(points, dist, seed):
+    # one SeedSequence and one Generator per point, scalar inverse CDF
+    out = []
+    for pt in points:
+        n_bits = int(np.float64(pt.n).view(np.uint64))
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=[int(seed) & ((1 << 64) - 1), n_bits]))
+        out.append(IntermediatePoint(pt.n, float(dist.inverse_cdf(rng.random()))))
+    return out
+
+
+@pytest.mark.parametrize("body", ["", "count = 100000\nseed = 7\n"],
+                         ids=["defaults", "count_100000_seed_7"])
+def test_mapping_bytes_match_per_point_reference(tmp_path, monkeypatch, body):
+    cfgf = _write(tmp_path, "map.cfg", "experiment = mapping_demo\n" + body)
+    assert run(cfgf, out_dir=str(tmp_path / "fast"), quiet=True) == 0
+    monkeypatch.setattr(cli, "realize_population", _reference_population)
+    assert run(cfgf, out_dir=str(tmp_path / "ref"), quiet=True) == 0
+    for name in ("mapping.csv", "mapping.json"):
+        assert ((tmp_path / "fast" / name).read_bytes()
+                == (tmp_path / "ref" / name).read_bytes()), name
+
+
+def test_non_finite_float_keys_exit_2(tmp_path):
+    for experiment, schema in cli._SCHEMAS.items():
+        for key, (conv, default) in schema.items():
+            if conv not in (cli._as_float, cli._as_float_list):
+                continue
+            for bad in ("inf", "-inf", "nan"):
+                val = f"1.0, {bad}" if conv is cli._as_float_list else bad
+                cfgf = _write(tmp_path, "bad.cfg",
+                              f"experiment = {experiment}\n{key} = {val}\n")
+                assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 2, \
+                    (experiment, key, bad)
+
+
+def test_oversized_grids_exit_3_before_allocating(tmp_path, monkeypatch):
+    # about 1.24e7 recipe sites, and 1e9 screen sites: refused by the step
+    # operator's size guard before any grid array is made
+    def untouchable(*args):
+        raise AssertionError("grid-sized work before the size guard")
+
+    monkeypatch.setattr(cli.SpaceGrid, "points", untouchable)
+    for text in ("experiment = propagator_convergence\nk = 100000\n",
+                 "experiment = interference\nsites = 1000000000\n"):
+        cfgf = _write(tmp_path, "big.cfg", text)
+        assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 3, text
 
 
 def test_seed_changes_realized_images(tmp_path):

@@ -7,9 +7,21 @@ from hypothesis import strategies as st
 
 from cardpath.errors import AlreadyRealized, InvalidDistribution
 from cardpath.intermediate_set import (IntermediatePoint, MappingDistribution,
-                                       UnitSet, collect_unit_sets,
+                                       UnitSet, _uniforms, collect_unit_sets,
                                        realize_mapping, realize_population,
                                        unit_set_of)
+
+EDGE_NS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+           0.5, 1.0, 3.25, -7.0, 1e6, -1e6, 1e300, -1.7976931348623157e308]
+EDGE_SEEDS = [0, 1, 12345, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5,
+              2 ** 64 - 1, 2 ** 64, -1]
+
+
+def reference_uniform(n: float, seed: int) -> float:
+    """The per-point draw through numpy's own SeedSequence and Generator."""
+    n_bits = int(np.float64(n).view(np.uint64))
+    ss = np.random.SeedSequence(entropy=[int(seed) & ((1 << 64) - 1), n_bits])
+    return np.random.default_rng(ss).random()
 
 
 def test_point_requires_finite_coordinate():
@@ -17,6 +29,42 @@ def test_point_requires_finite_coordinate():
         IntermediatePoint(n=float("nan"))
     with pytest.raises(ValueError):
         IntermediatePoint(n=float("inf"))
+
+
+def test_vectorized_draw_matches_numpy_on_edge_cases():
+    ns = np.array(EDGE_NS + list(np.linspace(-4.0, 4.0, 33)))
+    for seed in EDGE_SEEDS:
+        want = [reference_uniform(n, seed) for n in ns]
+        assert np.array_equal(_uniforms(ns, seed), want), seed
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=8),
+       st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+@settings(max_examples=200, deadline=None)
+def test_vectorized_draw_matches_numpy_property(ns, seed):
+    want = [reference_uniform(n, seed) for n in ns]
+    assert np.array_equal(_uniforms(np.array(ns), seed), want)
+
+
+def test_realize_mapping_is_the_one_point_case():
+    # a non-uniform density also checks that the array inverse CDF of the
+    # population gives the bits of the scalar one of a single point
+    dist = MappingDistribution.from_density(0.0, 1.0, lambda r: 2.0 * r)
+    pts = [IntermediatePoint(n=n) for n in EDGE_NS + [0.25 * i for i in range(40)]]
+    for seed in (0, 7, 2 ** 64 - 1):
+        population = realize_population(pts, dist, seed)
+        for pt, got in zip(pts, population):
+            assert got.n == pt.n
+            assert realize_mapping(pt, dist, seed).image == got.image
+            assert got.image == float(dist.inverse_cdf(reference_uniform(pt.n, seed)))
+
+
+def test_realize_population_refuses_realized_points():
+    dist = MappingDistribution.uniform(0.0, 1.0)
+    done = realize_mapping(IntermediatePoint(n=2.0), dist, seed=1)
+    with pytest.raises(AlreadyRealized):
+        realize_population([IntermediatePoint(n=1.0), done], dist, seed=1)
 
 
 def test_realize_is_deterministic_and_one_shot():
@@ -63,7 +111,7 @@ def test_point_mass_distribution_is_degenerate():
 def test_uniform_samples_match_uniform_law():
     dist = MappingDistribution.uniform(2.0, 6.0)
     rng = np.random.default_rng(123)
-    xs = dist.sample(rng, size=4000)
+    xs = dist.inverse_cdf(rng.random(4000))
     assert xs.min() >= 2.0 and xs.max() <= 6.0
     # KS against the target CDF
     from scipy import stats
@@ -75,7 +123,7 @@ def test_density_distribution_samples_match_density():
     # triangular density on [0, 1]: p(r) = 2r
     dist = MappingDistribution.from_density(0.0, 1.0, lambda r: 2.0 * r)
     rng = np.random.default_rng(7)
-    xs = dist.sample(rng, size=4000)
+    xs = dist.inverse_cdf(rng.random(4000))
     from scipy import stats
     res = stats.kstest(xs, lambda v: np.clip(v, 0.0, 1.0) ** 2)
     assert res.pvalue > 1e-4

@@ -10,8 +10,8 @@ from cardpath.errors import GridMismatch, NonpositiveUnit, ZeroDenominator
 from cardpath.lattice import (LatticePath, SpaceGrid, TimeGrid,
                               discretized_action, free_particle,
                               harmonic_oscillator, linear_potential,
-                              path_amplitude, path_probability_product,
-                              path_to_csv, transition_ratio, winding_of)
+                              path_probability_product, transition_ratio,
+                              winding_of)
 
 
 def test_time_grid_basics():
@@ -119,33 +119,6 @@ def test_probability_product_telescopes(mods, data):
     prod = path_probability_product(samples)
     expect = (mods[-1] / mods[0]) ** 2
     assert abs(prod - expect) <= 1e-10 * max(1.0, expect)
-
-
-def test_path_amplitude_winding_and_value():
-    lag = free_particle(1.0)
-    grid = TimeGrid(0.0, 1.0, 2)
-    path = LatticePath((0.0, 0.5, 1.0))
-    h = 2.0 * math.pi  # hbar = 1
-    pa = path_amplitude(path, grid, lag, h, modulus_ratio=1.0)
-    assert math.isclose(pa.winding, 0.5 / h, rel_tol=1e-12)
-    z = pa.value.to_complex()
-    assert math.isclose(abs(z), 1.0, rel_tol=1e-12)
-    assert math.isclose(math.atan2(z.imag, z.real), 0.5, rel_tol=1e-9)
-
-
-def test_path_csv_round_trip():
-    grid = TimeGrid(0.0, 1.0, 3)
-    path = LatticePath((0.0, 1.0 / 3.0, 0.7123456789012345, 1.0))
-    text = path_to_csv(path, grid)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,r"
-    assert len(lines) == 5
-    back = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
-    for (t, r), t_expect, r_expect in zip(back, grid.times(), path.sites):
-        assert t == t_expect
-        assert r == r_expect
-    with pytest.raises(GridMismatch):
-        path_to_csv(path, TimeGrid(0.0, 1.0, 9))
 
 
 def test_linear_potential_derivative():

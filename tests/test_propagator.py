@@ -15,9 +15,8 @@ from cardpath.propagator import (PropagatorConfig, compose,
                                  convergence_recipe, gaussian_window,
                                  propagate_enumerate,
                                  propagate_monte_carlo_euclidean,
-                                 propagate_transfer_matrix,
-                                 result_to_json_record, step_matrix, sweep,
-                                 transfer_matrix_vector)
+                                 propagate_transfer_matrix, step_matrix,
+                                 sweep, transfer_matrix_vector)
 
 
 def _small_cfg(lag=None, k=4, sites=7, hbar=1.0, a=-0.3, b=0.4):
@@ -168,6 +167,25 @@ def test_non_quadratic_potentials_take_the_dense_path(monkeypatch):
         assert len(builds) == 1
 
 
+def test_step_operator_guard_allocates_nothing(monkeypatch):
+    # 20 million sites: the FFT path's arrays alone exceed the guard, so the
+    # operator refuses before V is evaluated or any grid array is made
+    def untouchable(*args):
+        raise AssertionError("grid-sized work before the size guard")
+
+    monkeypatch.setattr(SpaceGrid, "points", untouchable)
+    for lag in (free_particle(), LagrangianSpec(mass=1.0, potential=untouchable)):
+        cfg = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 2),
+                               space=SpaceGrid(-1.0, 1.0, 20_000_000),
+                               lag=lag, hbar=1.0, a=0.0, b=0.5)
+        with pytest.raises(TooLarge):
+            propagator.StepOperator(cfg, 1)
+        with pytest.raises(TooLarge):
+            propagator.StepOperator(cfg, 1, phase_free=True)
+        with pytest.raises(TooLarge):
+            propagate_transfer_matrix(cfg)
+
+
 def test_dense_step_matrix_guard():
     # refused from the site count alone, before anything is allocated
     space = SpaceGrid(-1.0, 1.0, 100_000)
@@ -201,6 +219,48 @@ def test_hard_wall_paths_drop_out_consistently():
     assert abs(ke - propagate_enumerate(free_cfg).value.to_complex()) > 1e-6
 
 
+def _digit_enumeration(cfg):
+    """The pinned sum with every path's sites read off the mixed-radix
+    digits of its index, all paths in one array: the per-chunk form that
+    propagate_enumerate had before it evaluated each step on site pairs."""
+    k, sites, eps = cfg.grid.k, cfg.space.sites, cfg.grid.epsilon
+    x = cfg.space.points()
+    idx = np.arange(sites ** (k - 1))
+    pos = np.empty((idx.size, k + 1))
+    pos[:, 0] = x[cfg.space.nearest_index(cfg.a)]
+    pos[:, k] = x[cfg.space.nearest_index(cfg.b)]
+    for d in range(k - 1):
+        pos[:, 1 + d] = x[idx // sites ** d % sites]
+    S = np.zeros(idx.size)
+    for i, t in enumerate(cfg.grid.midpoint_times(), 1):
+        drv = (pos[:, i] - pos[:, i - 1]) / eps
+        vm = cfg.lag.v(0.5 * (pos[:, i] + pos[:, i - 1]), t)
+        S += (0.5 * cfg.lag.mass * drv * drv - vm) * eps
+    acc = np.sum(np.exp(1j * S[np.isfinite(S)] / cfg.hbar))
+    return cfg.norm_per_step ** k * cfg.space.dx ** (k - 1) * acc
+
+
+@pytest.mark.parametrize("chunk", [1, 40, propagator._ENUM_CHUNK])
+def test_enumeration_blocks_match_digit_form_and_naive_oracle(monkeypatch, chunk):
+    # chunk 1 and 40 force one or two broadcast sites and loop over the
+    # rest; the default broadcasts every interior site of these grids
+    monkeypatch.setattr(propagator, "_ENUM_CHUNK", chunk)
+    td = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.5 * r * r
+                        + 0.7 * np.sin(3.0 * t) + 0.3 * r * t,
+                        time_dependent=True, label="td")
+    walled = LagrangianSpec(mass=1.0, potential=_walled, label="box")
+    for lag in (free_particle(), harmonic_oscillator(1.0, 1.3), td, walled):
+        for k in (1, 2, 3, 4):
+            for sites in (5, 12):
+                cfg = _small_cfg(lag, k=k, sites=sites, hbar=0.8, a=-0.31, b=0.42)
+                got = propagate_enumerate(cfg).value.to_complex()
+                want = _digit_enumeration(cfg)
+                assert abs(got - want) <= 1e-13 * abs(want), (lag.label, k, sites)
+                if chunk == propagator._ENUM_CHUNK:
+                    kn = naive_enumeration(cfg).to_complex()
+                    assert abs(got - kn) <= 1e-12 * abs(kn), (lag.label, k, sites)
+
+
 def test_enumeration_guard():
     cfg = _small_cfg(k=6, sites=30)
     with pytest.raises(TooLarge):
@@ -213,15 +273,6 @@ def test_probability_is_squared_modulus():
                 propagate_monte_carlo_euclidean(_small_cfg(), 200, seed=1)):
         v = res.value
         assert res.probability == v.re * v.re + v.im * v.im
-
-
-def test_json_record_shape():
-    res = propagate_transfer_matrix(_small_cfg())
-    rec = result_to_json_record(res)
-    assert set(rec) == {"method", "k", "sites", "re", "im", "runtime_ms"}
-    mc = propagate_monte_carlo_euclidean(_small_cfg(), 200, seed=1)
-    rec = result_to_json_record(mc)
-    assert "stderr" in rec and rec["method"] == "monte_carlo"
 
 
 def test_snap_distances_reported():
