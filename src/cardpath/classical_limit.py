@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import NoConvergence
 from .lattice import (LagrangianSpec, LatticePath, SpaceGrid, TimeGrid,
@@ -97,6 +96,8 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float, b: float,
     k = grid.k
     if k == 1:
         return LatticePath((float(a), float(b)))
+    from scipy.linalg import solve_banded
+
     eps = grid.epsilon
     tmids = grid.midpoint_times()
     r = np.linspace(a, b, k + 1)

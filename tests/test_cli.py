@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,53 @@ def test_oversized_grids_exit_3_before_allocating(tmp_path, monkeypatch):
                  "experiment = interference\nsites = 1000000000\n"):
         cfgf = _write(tmp_path, "big.cfg", text)
         assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 3, text
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, cardpath, cardpath.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = propagator_convergence\nhbar = 1e-320\n",
+    "experiment = propagator_convergence\nmass = 1e308\n",
+    "experiment = propagator_convergence\nb = 1e200\n",
+    "experiment = propagator_convergence\nt_total = 1e-300\n",
+    "experiment = concentration_scan\nhbar_values = 1e-300\n",
+    "experiment = interference\nhbar = 1e-300\n",
+    "experiment = interference\nhbar = 1e-320\n",
+    "experiment = interference\nslit_width = 5e-324\n",
+])
+def test_overflowing_site_counts_exit_3(tmp_path, monkeypatch, capsys, text):
+    # the site count is infinite or far over the guard as a float; it is
+    # refused before it becomes an int and before any grid array is made
+    def untouchable(*args):
+        raise AssertionError("grid-sized work before the size guard")
+
+    monkeypatch.setattr(cli.SpaceGrid, "points", untouchable)
+    cfgf = _write(tmp_path, "big.cfg", text)
+    assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_interference_sites_below_two_exit_2(tmp_path):
+    for sites in (1, -5):
+        cfgf = _write(tmp_path, "s.cfg", f"experiment = interference\nsites = {sites}\n")
+        assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 2
+
+
+def test_mapping_support_of_infinite_width_exit_3(tmp_path, capsys):
+    cfgf = _write(tmp_path, "wide.cfg",
+                  "experiment = mapping_demo\nlo = -1e308\nhi = 1e308\n")
+    out = tmp_path / "o"
+    assert run(cfgf, out_dir=str(out), quiet=True) == 3
+    assert "width" in capsys.readouterr().err
+    assert not (out / "mapping.json").exists()
 
 
 def test_seed_changes_realized_images(tmp_path):

@@ -139,6 +139,13 @@ def test_invalid_densities_rejected():
         MappingDistribution.from_density(0.0, 1.0, lambda r: 2.0 * np.ones_like(r))
 
 
+def test_support_width_must_be_finite():
+    with pytest.raises(InvalidDistribution):
+        MappingDistribution.uniform(-1e308, 1e308)
+    with pytest.raises(InvalidDistribution):
+        MappingDistribution.from_density(-1e308, 1e308, lambda r: np.zeros_like(r))
+
+
 def test_unit_set_index_is_floor():
     assert unit_set_of(IntermediatePoint(n=3.7)) == 3
     assert unit_set_of(IntermediatePoint(n=-0.2)) == -1
@@ -159,6 +166,25 @@ def test_collect_unit_sets_partitions():
     assert total == 40
     for idx, us in sets.items():
         assert all(math.floor(m.n) == idx for m in us.members)
+
+
+def test_collect_unit_sets_floors_each_n_once():
+    floors = []
+
+    class Counted(float):
+        def __floor__(self):
+            floors.append(float(self))
+            return math.floor(float(self))
+
+    pts = [IntermediatePoint(n=Counted(0.37 * i - 3.0)) for i in range(30)]
+    sets = collect_unit_sets(pts)
+    assert sorted(floors) == sorted(float(pt.n) for pt in pts)
+    # the same sets as the checked constructor builds, in the same order
+    for idx, us in sets.items():
+        assert us == UnitSet(idx, us.members)
+    assert list(sets) == sorted(sets)
+    assert [pt for us in sets.values() for pt in us.members] == sorted(
+        pts, key=lambda pt: math.floor(float(pt.n)))
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),

@@ -11,12 +11,12 @@ from cardpath.lattice import (LagrangianSpec, SpaceGrid, TimeGrid,
                               linear_potential)
 from cardpath.oracles import (AnalyticKernel, analytic_propagator,
                               euclidean_harmonic_kernel, naive_enumeration)
-from cardpath.propagator import (PropagatorConfig, compose,
+from cardpath.propagator import (PropagatorConfig, StepOperator, compose,
                                  convergence_recipe, gaussian_window,
                                  propagate_enumerate,
                                  propagate_monte_carlo_euclidean,
-                                 propagate_transfer_matrix, step_matrix,
-                                 sweep, transfer_matrix_vector)
+                                 propagate_transfer_matrix, site_count,
+                                 step_matrix, sweep, transfer_matrix_vector)
 
 
 def _small_cfg(lag=None, k=4, sites=7, hbar=1.0, a=-0.3, b=0.4):
@@ -184,6 +184,69 @@ def test_step_operator_guard_allocates_nothing(monkeypatch):
             propagator.StepOperator(cfg, 1, phase_free=True)
         with pytest.raises(TooLarge):
             propagate_transfer_matrix(cfg)
+
+
+def _quadratic_lags():
+    td = LagrangianSpec(mass=1.3, potential=lambda r, t: 0.4 * r * r - 0.2 * r
+                        + 0.7 * np.sin(3.0 * t), time_dependent=True)
+    return (free_particle(), harmonic_oscillator(1.0, 1.0), td)
+
+
+def test_fft_apply_bits_match_out_of_place_formula():
+    import scipy.fft
+    rng = np.random.default_rng(61)
+    for lag in _quadratic_lags():
+        for sites in (2, 37, 500, 2986):
+            cfg = _small_cfg(lag, k=3, sites=sites)
+            for i in (1, 3):
+                op = StepOperator(cfg, i)
+                assert op._matrix is None
+                psi = rng.standard_normal(sites) + 1j * rng.standard_normal(sites)
+                n, size = sites, op._work.size
+                want = op._d_out * scipy.fft.ifft(
+                    scipy.fft.fft(op._d_in * psi, size) * op._g_hat)[:n]
+                assert np.array_equal(op.apply(psi), want), (lag.label, sites, i)
+                # the buffer's padding is cleared on every call
+                assert np.array_equal(op.apply(psi), want)
+
+
+def test_sweep_keep_returns_distinct_arrays():
+    for lag in _quadratic_lags()[:2]:
+        cfg = _small_cfg(lag, k=5, sites=64)
+        step = StepOperator(cfg, 1)
+        psi = gaussian_window(cfg.space.points(), 0.0, 0.3, 0.5, 1.0)
+        states = sweep(cfg, psi, step, keep=True)
+        assert len(states) == cfg.grid.k + 1
+        for j, s in enumerate(states):
+            assert not np.shares_memory(s, step._work)
+            for t in states[j + 1:]:
+                assert not np.shares_memory(s, t)
+        assert np.array_equal(states[-1], sweep(cfg, psi, step))
+
+
+def test_fft_apply_allocates_no_padded_temporary():
+    import tracemalloc
+    cfg = _small_cfg(harmonic_oscillator(1.0, 1.0), k=2, sites=3000)
+    op = StepOperator(cfg, 1)
+    psi = gaussian_window(cfg.space.points(), 0.0, 0.3, 0.5, 1.0)
+    op.apply(psi)  # first call: anything scipy sets up once per length
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            op.apply(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the sites-long result only: one padded complex array alone is 16 L
+    assert peak < 16 * op._work.size, peak
+
+
+def test_site_count_guard():
+    assert site_count(10.0) == 11
+    assert site_count(10.2) == 12
+    for bad in (math.inf, math.nan, 1e300, float(propagator._DENSE_GUARD)):
+        with pytest.raises(TooLarge):
+            site_count(bad)
 
 
 def test_dense_step_matrix_guard():
