@@ -16,8 +16,9 @@ from .classical_limit import (ConcentrationScan, classical_path,
                               finite_difference_action_gradient)
 from .errors import CardpathError
 from .intermediate_set import (IntermediatePoint, MappingDistribution, UnitSet,
-                               collect_unit_sets, realize_mapping,
-                               realize_population, unit_set_of)
+                               collect_unit_sets, realize_images,
+                               realize_mapping, realize_population,
+                               unit_set_of)
 from .lattice import (LagrangianSpec, LatticePath, SpaceGrid, TimeGrid,
                       discretized_action, free_particle, harmonic_oscillator,
                       linear_potential, winding_of)
@@ -37,7 +38,7 @@ __all__ = [
     "finite_difference_action_gradient",
     "CardpathError",
     "IntermediatePoint", "MappingDistribution", "UnitSet", "collect_unit_sets",
-    "realize_mapping", "realize_population", "unit_set_of",
+    "realize_images", "realize_mapping", "realize_population", "unit_set_of",
     "LagrangianSpec", "LatticePath", "SpaceGrid", "TimeGrid",
     "discretized_action", "free_particle", "harmonic_oscillator",
     "linear_potential", "winding_of",

@@ -234,21 +234,22 @@ def concentration_scan(lag: LagrangianSpec, t_total: float, a: float, b: float,
     the forward and backward slice sweeps and the packet sweep.
     """
     grid = TimeGrid(0.0, t_total, k)
+    hbars = tuple(float(h) for h in hbar_values)
+    if space is None:
+        # every recipe's site-count guard runs before the k-sized Newton solve
+        windows = [convergence_recipe(lag, hbar, t_total, a, b, k=k)[1:]
+                   for hbar in hbars]
+    elif source_width is None:
+        raise ValueError("source_width is required with an explicit space grid")
+    else:
+        windows = [(space, source_width)] * len(hbars)
     cl = classical_path(lag, grid, a, b)
     centers = cl.as_array()
     s_cl = discretized_action(cl, grid, lag)
-    hbars = tuple(float(h) for h in hbar_values)
 
     rows = []
-    for hbar in hbars:
+    for hbar, (sp, sw) in zip(hbars, windows):
         t0 = time.perf_counter()
-        if space is None:
-            _, sp, sw = convergence_recipe(lag, hbar, t_total, a, b, k=k)
-        else:
-            sp = space
-            sw = source_width
-            if sw is None:
-                raise ValueError("source_width is required with an explicit space grid")
         cfg = PropagatorConfig(grid=grid, space=sp, lag=lag, hbar=hbar, a=a, b=b)
         step = StepOperator(cfg, 1)
         frac = float(np.mean(slice_tube_fractions(

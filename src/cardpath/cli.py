@@ -24,17 +24,21 @@ from pathlib import Path
 import numpy as np
 
 from . import classical_limit as cl_mod
-from .errors import CardpathError, ConfigError, NoConvergence
-from .intermediate_set import (IntermediatePoint, MappingDistribution,
-                               collect_unit_sets, realize_population)
+from .errors import CardpathError, ConfigError, NoConvergence, TooLarge
+from .intermediate_set import MappingDistribution, realize_images
 from .lattice import SpaceGrid, TimeGrid, free_particle, harmonic_oscillator
 from .oracles import AnalyticKernel, analytic_propagator
-from .propagator import (RECIPE_K, PropagatorConfig, StepOperator,
-                         convergence_recipe, gaussian_window,
+from .propagator import (_DENSE_GUARD, RECIPE_K, PropagatorConfig,
+                         StepOperator, convergence_recipe, gaussian_window,
                          propagate_transfer_matrix, site_count, sweep)
 
 _EXPERIMENTS = ("propagator_convergence", "interference",
                 "concentration_scan", "mapping_demo")
+
+# bytes per point that mapping_demo holds at its peak: about 300 measured
+# with tracemalloc at 1e5 and 4e5 points, most of it the 32-bit limb
+# arrays of the seeded draw
+_MAPPING_POINT_BYTES = 320
 
 
 def _as_float(v: str) -> float:
@@ -189,6 +193,9 @@ def _validate(experiment: str, p: dict):
         _require(p["count"] >= 0, "count", "must be nonnegative")
         _require(p["units"] >= 1, "units", "must be at least 1")
         _require(p["hi"] > p["lo"], "hi", "must exceed lo")
+        # past 2**53 a coordinate units * i / count is not exact in float64
+        _require(p["units"] * p["count"] < 2 ** 53, "count",
+                 "units * count must be below 2**53")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -338,44 +345,50 @@ def mapping_demo(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
 
     The countable coordinates are spread over `units` unit sets so the
     partition is visible in the output; the realized images are checked
-    against the target distribution.
+    against the target distribution.  Raises TooLarge, before any
+    population-sized array exists, when its arrays would exceed
+    _DENSE_GUARD bytes at their peak.
     """
+    p = cfg.params
+    count, units = p["count"], p["units"]
+    nbytes = count * _MAPPING_POINT_BYTES
+    if nbytes > _DENSE_GUARD:
+        raise TooLarge(f"{count} points need about {nbytes} bytes, "
+                       f"over the {_DENSE_GUARD}-byte guard")
     from scipy import stats
 
-    p = cfg.params
     dist = MappingDistribution.uniform(p["lo"], p["hi"])
     t0 = time.perf_counter()
-    points = [IntermediatePoint(n=p["units"] * i / p["count"])
-              for i in range(p["count"])]
-    realized = realize_population(points, dist, cfg.seed)
-    if realized:
-        values = np.array([pt.image for pt in realized])
-        ks = stats.kstest(values, stats.uniform(loc=p["lo"],
+    # the bits of units * i / count: _validate keeps units * count below 2**53
+    ns = np.arange(count) * units / count if count else np.empty(0)
+    images = realize_images(ns, dist, cfg.seed)
+    if count:
+        ks = stats.kstest(images, stats.uniform(loc=p["lo"],
                                                 scale=p["hi"] - p["lo"]).cdf)
         ks_stat, ks_pval = float(ks.statistic), float(ks.pvalue)
     else:
         # An empty population still produces output files; the KS test is
         # undefined so its fields are null in the record.
         ks_stat = ks_pval = None
-    unit_counts = {idx: len(us.members)
-                   for idx, us in collect_unit_sets(realized).items()}
+    unit_ids, unit_sizes = np.unique(np.floor(ns), return_counts=True)
     dt = (time.perf_counter() - t0) * 1e3
     lines = ["n,r"]
-    for pt in realized:
-        lines.append(f"{pt.n:.17g},{pt.image:.17g}")
+    for n, r in zip(ns.tolist(), images.tolist()):
+        lines.append(f"{n:.17g},{r:.17g}")
     (out_dir / "mapping.csv").write_text("\n".join(lines) + "\n")
     record = {
         "experiment": cfg.experiment,
         "config": _config_echo(cfg),
         "ks_statistic": ks_stat,
         "ks_pvalue": ks_pval,
-        "unit_set_counts": {str(k): v for k, v in sorted(unit_counts.items())},
+        "unit_set_counts": {str(int(idx)): size for idx, size
+                            in zip(unit_ids.tolist(), unit_sizes.tolist())},
     }
     _write_json(out_dir / "mapping.json", record)
     if ks_stat is None:
         _say(quiet, f"mapping_demo: 0 points, KS skipped ({dt:.0f} ms)")
     else:
-        _say(quiet, f"mapping_demo: {p['count']} points, KS={ks_stat:.4f} "
+        _say(quiet, f"mapping_demo: {count} points, KS={ks_stat:.4f} "
              f"(p={ks_pval:.3f}, {dt:.0f} ms)")
     _say(quiet, f"  wrote {out_dir / 'mapping.json'}, {out_dir / 'mapping.csv'}")
 

@@ -13,7 +13,8 @@ The draw for a point is the uniform
 with "bits of n" the IEEE-754 bit pattern of float64(n) read as an
 unsigned integer, mapped through the distribution's inverse CDF.
 `_uniforms` computes that number for a whole array of n in one pass,
-without a SeedSequence or Generator per point.
+without a SeedSequence or Generator per point, and `realize_images` maps
+a whole array of n to its images without building a point per n.
 """
 from __future__ import annotations
 
@@ -238,18 +239,26 @@ def _uniforms(ns: np.ndarray, seed: int) -> np.ndarray:
     return (x >> 11).astype(np.float64) * 2.0 ** -53
 
 
-def realize_population(points, dist: MappingDistribution, seed: int):
-    """Realize many points under one seed, in one vectorized draw.
+def realize_images(ns: np.ndarray, dist: MappingDistribution,
+                   seed: int) -> np.ndarray:
+    """The images of countable coordinates ns under seed, as an array.
 
-    Each image depends only on (n, dist, seed), never on the other points
-    or their order.  Raises AlreadyRealized if any image is already set.
+    Each image depends only on (n, dist, seed), never on the other
+    coordinates or their order.
+    """
+    return dist.inverse_cdf(_uniforms(ns, seed))
+
+
+def realize_population(points, dist: MappingDistribution, seed: int):
+    """Realize many points under one seed: realize_images over their
+    coordinates.  Raises AlreadyRealized if any image is already set.
     """
     points = list(points)
     for pt in points:
         if pt.image is not None:
             raise AlreadyRealized(f"point n={pt.n} already has image {pt.image}")
     ns = np.fromiter((pt.n for pt in points), dtype=float, count=len(points))
-    images = dist.inverse_cdf(_uniforms(ns, seed)).tolist()
+    images = realize_images(ns, dist, seed).tolist()
     return [IntermediatePoint(pt.n, r) for pt, r in zip(points, images)]
 
 

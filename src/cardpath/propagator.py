@@ -26,6 +26,13 @@ spends one addition per step and one complex exponential per path, in
 blocks of at most about 2^16 paths (or one site's worth): O(k * sites^(k-1))
 time and O(2^16 + k * sites^2) memory.
 
+The Euclidean Monte Carlo draws k - 1 normals per sample, in chunks of
+4096 samples with one seed each, and runs the chunks on the process's
+CPUs, one thread each.  The chunk sums are combined in chunk order, so
+the estimate and its stderr have the same bits on any number of CPUs.
+A potential callable may be called from several threads at once, so it
+must be pure.
+
 Grid stability (the convergence recipe).  The all-pairs step matrix is a
 sampled Fresnel chirp; if the phase between the farthest site pair advances
 more than pi per grid spacing, the discrete sum acquires aliased images
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -464,6 +472,14 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
         runtime_ms=dt, snap_a=abs(x[ja] - cfg.a), snap_b=abs(x[jb] - cfg.b))
 
 
+def _mc_workers() -> int:
+    """CPUs this process may run on; the Monte Carlo runs one thread on
+    each, and no more threads than chunks."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
                                     seed: int) -> PropagatorResult:
     """Imaginary-time kernel estimate by exact Brownian-bridge sampling.
@@ -472,8 +488,15 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     (sequential Gaussian conditionals, no accept/reject step), and each
     carries the weight e^{-(eps/hbar) * sum_i V(midpoint_i)}.  The
     estimator is the free Euclidean kernel times the mean weight, so for
-    V = 0 it is exact with zero variance.  Chunked with per-chunk child
-    seeds and fixed-order combination, hence bitwise reproducible.
+    V = 0 it is exact with zero variance.
+
+    The samples come in chunks of _MC_CHUNK, each drawn from its own
+    SeedSequence child, and the chunks run on a thread pool with one
+    thread per CPU of the process (numpy's normal draws and array loops
+    release the interpreter lock).  Each chunk's weight sums are added in
+    chunk order, so the estimate and its stderr are bitwise reproducible
+    and do not depend on the number of threads.  The potential is called
+    from several threads at once and must be a pure function.
     """
     if samples < 100:
         raise ValueError("samples must be at least 100")
@@ -490,12 +513,9 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
         * math.exp(-mass * (cfg.b - cfg.a) ** 2 / (2.0 * hbar * T))
     n_chunks = (samples + _MC_CHUNK - 1) // _MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sum_w = 0.0
-    sum_w2 = 0.0
-    done = 0
-    for c in range(n_chunks):
-        n = min(_MC_CHUNK, samples - done)
-        done += n
+
+    def chunk_sums(c):
+        n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
         rng = np.random.default_rng(children[c])
         prev = np.full(n, cfg.a)
         logw = np.zeros(n)
@@ -511,8 +531,16 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
             logw -= (eps / hbar) * vm
             prev = cur
         w = np.where(np.isfinite(logw), np.exp(logw), 0.0)
-        sum_w += float(w.sum())
-        sum_w2 += float((w * w).sum())
+        return float(w.sum()), float((w * w).sum())
+
+    from concurrent.futures import ThreadPoolExecutor
+    sum_w = 0.0
+    sum_w2 = 0.0
+    with ThreadPoolExecutor(max_workers=min(_mc_workers(), n_chunks)) as pool:
+        # map yields in chunk order, so the sums are added in that order
+        for s_w, s_w2 in pool.map(chunk_sums, range(n_chunks)):
+            sum_w += s_w
+            sum_w2 += s_w2
     mean_w = sum_w / samples
     var_w = max(0.0, (sum_w2 - samples * mean_w * mean_w) / max(samples - 1, 1))
     est = kfree * mean_w

@@ -65,12 +65,16 @@ def test_shift_winding_rotates_phase(A, n, c):
 
 
 @given(moduli, windings, st.integers(min_value=-1000, max_value=1000))
+@example(1.0, 130072.77916964471, 1000)
 @settings(max_examples=200, deadline=None)
 def test_whole_turn_shift_is_identity(A, n, c):
     a = phase_from_count(WaveSample(A, n))
     b = phase_from_count(shift_winding(WaveSample(A, n), float(c)))
-    assert abs(a.re - b.re) <= 1e-12 * max(1.0, A)
-    assert abs(a.im - b.im) <= 1e-12 * max(1.0, A)
+    # n + c is rounded to within half an ulp of its size, which moves the
+    # angle by up to 2*pi times that many turns; the rest is 1e-12
+    tol = (1e-12 + 2.0 * math.pi * math.ulp(abs(n) + abs(c))) * max(1.0, A)
+    assert abs(a.re - b.re) <= tol
+    assert abs(a.im - b.im) <= tol
 
 
 @given(finite, finite, finite, finite)

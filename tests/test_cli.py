@@ -11,7 +11,6 @@ from cardpath import cli
 from cardpath.cli import (ExperimentConfig, main, mapping_demo,
                           parse_config_text, resolve_config, run)
 from cardpath.errors import ConfigError
-from cardpath.intermediate_set import IntermediatePoint
 
 
 def test_parse_config_comments_and_blanks():
@@ -145,15 +144,15 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
 
 
-def _reference_population(points, dist, seed):
+def _reference_images(ns, dist, seed):
     # one SeedSequence and one Generator per point, scalar inverse CDF
     out = []
-    for pt in points:
-        n_bits = int(np.float64(pt.n).view(np.uint64))
+    for n in ns:
+        n_bits = int(np.float64(n).view(np.uint64))
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=[int(seed) & ((1 << 64) - 1), n_bits]))
-        out.append(IntermediatePoint(pt.n, float(dist.inverse_cdf(rng.random()))))
-    return out
+        out.append(float(dist.inverse_cdf(rng.random())))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("body", ["", "count = 100000\nseed = 7\n"],
@@ -161,7 +160,7 @@ def _reference_population(points, dist, seed):
 def test_mapping_bytes_match_per_point_reference(tmp_path, monkeypatch, body):
     cfgf = _write(tmp_path, "map.cfg", "experiment = mapping_demo\n" + body)
     assert run(cfgf, out_dir=str(tmp_path / "fast"), quiet=True) == 0
-    monkeypatch.setattr(cli, "realize_population", _reference_population)
+    monkeypatch.setattr(cli, "realize_images", _reference_images)
     assert run(cfgf, out_dir=str(tmp_path / "ref"), quiet=True) == 0
     for name in ("mapping.csv", "mapping.json"):
         assert ((tmp_path / "fast" / name).read_bytes()
@@ -195,8 +194,10 @@ def test_oversized_grids_exit_3_before_allocating(tmp_path, monkeypatch):
 
 
 def test_import_loads_no_scipy():
+    # nor concurrent.futures, which the Monte Carlo imports when it runs
     code = ("import sys, cardpath, cardpath.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('concurrent.futures')))")
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -222,6 +223,53 @@ def test_overflowing_site_counts_exit_3(tmp_path, monkeypatch, capsys, text):
 
     monkeypatch.setattr(cli.SpaceGrid, "points", untouchable)
     cfgf = _write(tmp_path, "big.cfg", text)
+    assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def _untouchable(*args, **kwargs):
+    raise AssertionError("population- or grid-sized work before the size guard")
+
+
+def test_mapping_count_over_guard_exits_3(tmp_path, monkeypatch, capsys):
+    # about 320 bytes a point: 4e6 points are over the 1 GiB guard
+    monkeypatch.setattr(cli.np, "arange", _untouchable)
+    monkeypatch.setattr(cli, "realize_images", _untouchable)
+    cfgf = _write(tmp_path, "big.cfg", "experiment = mapping_demo\ncount = 4000000\n")
+    out = tmp_path / "o"
+    assert run(cfgf, out_dir=str(out), quiet=True) == 3
+    assert "guard" in capsys.readouterr().err
+    assert not (out / "mapping.csv").exists()
+
+
+@pytest.mark.parametrize("body", [
+    "count = 2251799813685248\n",                       # 4 * count = 2**53
+    "count = 3\nunits = 3002399751580331\n",           # units * count = 2**53 + 1
+    "count = 10000000000000000000000\n",                # int64 overflow
+])
+def test_mapping_coordinates_past_2_53_exit_2(tmp_path, monkeypatch, capsys, body):
+    monkeypatch.setattr(cli.np, "arange", _untouchable)
+    monkeypatch.setattr(cli, "realize_images", _untouchable)
+    cfgf = _write(tmp_path, "big.cfg", "experiment = mapping_demo\n" + body)
+    assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 2
+    assert "2**53" in capsys.readouterr().err
+
+
+def test_mapping_units_times_count_below_2_53_runs(tmp_path):
+    # units * count just below 2**53 is allowed when the count is small
+    cfgf = _write(tmp_path, "m.cfg", "experiment = mapping_demo\ncount = 2\n"
+                  "units = 4503599627370495\n")
+    assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 0
+    rows = (tmp_path / "o" / "mapping.csv").read_text().split("\n")[1:3]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 4503599627370495 / 2]
+
+
+def test_concentration_scan_huge_k_exits_3(tmp_path, monkeypatch, capsys):
+    # the recipe's site-count guard refuses k before the Newton solve
+    # allocates k + 1 slices or any grid array is made
+    monkeypatch.setattr(cli.SpaceGrid, "points", _untouchable)
+    cfgf = _write(tmp_path, "k.cfg",
+                  "experiment = concentration_scan\nk = 10000000000000000000000\n")
     assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 3
     assert "numerical failure" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -494,6 +495,66 @@ def test_monte_carlo_replay_is_bitwise():
     assert r1.stderr == r2.stderr
     r3 = propagate_monte_carlo_euclidean(cfg, samples=5000, seed=12)
     assert r1.value != r3.value
+
+
+def _serial_monte_carlo(cfg, samples, seed):
+    # one chunk after another on one thread, sums added in chunk order
+    k, eps = cfg.grid.k, cfg.grid.epsilon
+    mass, hbar = cfg.lag.mass, cfg.hbar
+    tmids = cfg.grid.midpoint_times()
+    T = cfg.grid.duration
+    kfree = math.sqrt(mass / (2.0 * math.pi * hbar * T)) \
+        * math.exp(-mass * (cfg.b - cfg.a) ** 2 / (2.0 * hbar * T))
+    n_chunks = (samples + 4095) // 4096
+    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    sum_w = sum_w2 = 0.0
+    done = 0
+    for c in range(n_chunks):
+        n = min(4096, samples - done)
+        done += n
+        rng = np.random.default_rng(children[c])
+        prev = np.full(n, cfg.a)
+        logw = np.zeros(n)
+        for i in range(1, k + 1):
+            tau_rest = (k - i) * eps
+            if i < k:
+                mu = (tau_rest * prev + eps * cfg.b) / (tau_rest + eps)
+                var = (hbar / mass) * eps * tau_rest / (eps + tau_rest)
+                cur = mu + math.sqrt(var) * rng.standard_normal(n)
+            else:
+                cur = np.full(n, cfg.b)
+            logw -= (eps / hbar) * cfg.lag.v(0.5 * (prev + cur), tmids[i - 1])
+            prev = cur
+        w = np.where(np.isfinite(logw), np.exp(logw), 0.0)
+        sum_w += float(w.sum())
+        sum_w2 += float((w * w).sum())
+    mean_w = sum_w / samples
+    var_w = max(0.0, (sum_w2 - samples * mean_w * mean_w) / (samples - 1))
+    return kfree * mean_w, kfree * math.sqrt(var_w / samples)
+
+
+@pytest.mark.parametrize("lag", [
+    harmonic_oscillator(1.0, 1.0),
+    LagrangianSpec(mass=1.0, potential=lambda r, t: (1.0 + t) * r * r + 0.3 * t,
+                   time_dependent=True, label="td_harmonic")],
+    ids=["harmonic", "time_dependent"])
+@pytest.mark.parametrize("samples", [3 * 4096 + 17, 8 * 4096 + 17])
+def test_monte_carlo_pool_bits_match_serial_chunks(monkeypatch, lag, samples):
+    # 4 and 9 chunks, the last one short: every pool size gives the serial
+    # bits.  Under seed 2 the sums added in reverse chunk order differ in
+    # the last bits in all four cases, so the order is checked too.
+    cfg = _small_cfg(lag, k=8, sites=41, a=0.0, b=0.5)
+    est, stderr = _serial_monte_carlo(cfg, samples, seed=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the pool's threads often
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(propagator, "_mc_workers", lambda: workers)
+            res = propagate_monte_carlo_euclidean(cfg, samples=samples, seed=2)
+            assert res.value.re == est and res.value.im == 0.0, workers
+            assert res.stderr == stderr, workers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_monte_carlo_matches_harmonic_kernel():
