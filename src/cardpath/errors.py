@@ -49,5 +49,9 @@ class ShootingFailure(CardpathError):
     """No bracketing initial velocity found for the boundary value problem."""
 
 
+class InvalidParameter(CardpathError, ValueError):
+    """A constructor argument is out of range or not finite."""
+
+
 class ConfigError(CardpathError):
     """Experiment configuration failed validation; message names the field."""

@@ -28,6 +28,7 @@ from .errors import AlreadyRealized, InvalidDistribution
 
 _DENSITY_TOL = 1e-9
 _CDF_NODES = 20001
+_UNIFORM_BLOCK = 1 << 16
 
 _MASK32 = 0xFFFFFFFF
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
@@ -203,13 +204,28 @@ def _uniforms(ns: np.ndarray, seed: int) -> np.ndarray:
     generate_state(4, uint64), PCG64 seeding, one step, the XSL-RR output
     and (x >> 11) * 2**-53, in 32-bit limbs.
 
-    SeedSequence splits each entropy integer into its 32-bit words, low
-    first (one word for a value below 2**32), and pads the pool with zero
-    words, so a high word of n that is zero and the padding hash alike.
+    The draw is elementwise, so it runs over blocks of _UNIFORM_BLOCK
+    coordinates into one result: the limb arrays, about 290 bytes a
+    coordinate, then live for one block at a time, not for all of ns.
     """
     bits = np.ascontiguousarray(ns, dtype=np.float64).view(np.uint64)
     s = int(seed) & ((1 << 64) - 1)
     seed_words = [s & _MASK32] + ([s >> 32] if s >> 32 else [])
+    flat = bits.reshape(-1)
+    u = np.empty(flat.shape)
+    for lo in range(0, flat.size, _UNIFORM_BLOCK):
+        u[lo:lo + _UNIFORM_BLOCK] = _uniform_block(flat[lo:lo + _UNIFORM_BLOCK],
+                                                   seed_words)
+    return u.reshape(bits.shape)
+
+
+def _uniform_block(bits: np.ndarray, seed_words) -> np.ndarray:
+    """_uniforms of the float64 bit patterns bits, seed split into words.
+
+    SeedSequence splits each entropy integer into its 32-bit words, low
+    first (one word for a value below 2**32), and pads the pool with zero
+    words, so a high word of n that is zero and the padding hash alike.
+    """
     words = [np.full(bits.shape, w, dtype=np.uint32) for w in seed_words]
     words += [(bits & _MASK32).astype(np.uint32), (bits >> 32).astype(np.uint32)]
     words += [np.zeros(bits.shape, dtype=np.uint32)] * (4 - len(words))

@@ -11,13 +11,15 @@ treat such paths as carrying zero weight.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .amplitude import WaveSample, born_probability, phase_from_count
-from .errors import GridMismatch, NonpositiveUnit, ZeroDenominator
+from .errors import (GridMismatch, InvalidParameter, NonpositiveUnit,
+                     ZeroDenominator)
 
 
 @dataclass(frozen=True)
@@ -29,10 +31,12 @@ class TimeGrid:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if not self.t_b > self.t_a:
-            raise ValueError("t_b must exceed t_a")
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise InvalidParameter(f"k = {self.k!r} must be a positive integer")
+        # the duration is finite only when both endpoints are
+        if not (math.isfinite(self.t_b - self.t_a) and self.t_b > self.t_a):
+            raise InvalidParameter(f"t_a = {self.t_a!r} and t_b = {self.t_b!r} "
+                                   "must be finite with t_b > t_a")
 
     @property
     def epsilon(self) -> float:
@@ -59,10 +63,13 @@ class SpaceGrid:
     sites: int
 
     def __post_init__(self):
-        if self.sites < 2:
-            raise ValueError("sites must be at least 2")
-        if not self.hi > self.lo:
-            raise ValueError("hi must exceed lo")
+        if not (isinstance(self.sites, numbers.Integral) and self.sites >= 2):
+            raise InvalidParameter(
+                f"sites = {self.sites!r} must be an integer, at least 2")
+        # the width is finite only when both ends are
+        if not (math.isfinite(self.hi - self.lo) and self.hi > self.lo):
+            raise InvalidParameter(f"lo = {self.lo!r} and hi = {self.hi!r} "
+                                   "must be finite with hi > lo")
 
     @property
     def dx(self) -> float:
@@ -105,8 +112,9 @@ class LagrangianSpec:
     time_dependent: bool = False
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        if not 0 < self.mass < math.inf:
+            raise InvalidParameter(
+                f"mass = {self.mass!r} must be positive and finite")
 
     def v(self, r, t):
         return np.asarray(self.potential(np.asarray(r, dtype=float), t), dtype=float)

@@ -24,14 +24,17 @@ Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
 It evaluates V on about (k-2) * sites^2 site pairs, once per step, and
 spends one addition per step and one complex exponential per path, in
 blocks of at most about 2^16 paths (or one site's worth): O(k * sites^(k-1))
-time and O(2^16 + k * sites^2) memory.
+time and O(CPUs * 2^16 + k * sites^2) memory.  The blocks run on the
+process's CPUs, one thread each, and their sums are added in block order,
+so the value has the same bits on any number of CPUs.  V is evaluated on
+the calling thread before the blocks start.
 
 The Euclidean Monte Carlo draws k - 1 normals per sample, in chunks of
-4096 samples with one seed each, and runs the chunks on the process's
-CPUs, one thread each.  The chunk sums are combined in chunk order, so
-the estimate and its stderr have the same bits on any number of CPUs.
-A potential callable may be called from several threads at once, so it
-must be pure.
+4096 samples with one seed each.  Blocks of _MC_BLOCK chunks run on the
+process's CPUs, one thread each, each block updating its own arrays in
+place.  The chunk sums are combined in chunk order, so the estimate and
+its stderr have the same bits on any number of CPUs.  The potential is
+called from several threads at once, so it must be pure.
 
 Grid stability (the convergence recipe).  The all-pairs step matrix is a
 sampled Fresnel chirp; if the phase between the farthest site pair advances
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -67,7 +71,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .amplitude import Amplitude, born_probability
-from .errors import GridMismatch, TooLarge, UnboundedPotential
+from .errors import (GridMismatch, InvalidParameter, TooLarge,
+                     UnboundedPotential)
 from .lattice import LagrangianSpec, SpaceGrid, TimeGrid
 
 RECIPE_K = 24
@@ -79,6 +84,7 @@ _ENUM_GUARD = 10 ** 7
 _DENSE_GUARD = 1 << 30  # bytes of one step operator: its dense matrix or FFT arrays
 _ENUM_CHUNK = 1 << 16
 _MC_CHUNK = 4096
+_MC_BLOCK = 8  # Monte Carlo chunks per pool job; 4 to 16 time the same
 # A quadratic fit to V within this step phase (rad) makes the FFT step
 # agree with the dense matrix to rounding.
 _FIT_PHASE_TOL = 1e-12
@@ -94,8 +100,12 @@ class PropagatorConfig:
     b: float
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < math.inf:
+            raise InvalidParameter(
+                f"hbar = {self.hbar!r} must be positive and finite")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InvalidParameter(
+                f"a = {self.a!r} and b = {self.b!r} must be finite")
 
     @property
     def norm_per_step(self) -> complex:
@@ -404,6 +414,26 @@ def compose(kernel_from_a: np.ndarray, kernel_to_b: np.ndarray, dx: float) -> Am
     return Amplitude.from_complex(complex((kernel_to_b * kernel_from_a).sum() * dx))
 
 
+def _workers() -> int:
+    """CPUs this process may run on; the pool runs one thread on each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ordered_map(fn, jobs):
+    """fn(job) for each job, on a pool of min(_workers(), len(jobs))
+    threads, yielded in job order.
+
+    The work must be numpy calls that release the interpreter lock for the
+    pool to gain anything.  Callers that add up what it yields in job order
+    get the same bits on any number of CPUs.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=min(_workers(), len(jobs))) as pool:
+        yield from pool.map(fn, jobs)
+
+
 def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     """Exact sum over all sites^(k-1) interior assignments, endpoints pinned.
 
@@ -416,6 +446,11 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     step order, ((S_1 + S_2) + ...) + S_k, so its bits do not depend on the
     blocking.  Paths through a midpoint where the potential is +inf carry
     zero weight.
+
+    The blocks run on a thread pool with one thread per CPU of the process,
+    and their weights are added in mixed-radix order, so the value has the
+    same bits on any number of CPUs.  Every call of the potential happens
+    before the pool starts, on the calling thread.
     """
     t0 = time.perf_counter()
     k = cfg.grid.k
@@ -457,12 +492,16 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
         if fast == n_int:
             acc = weight(head + last)
         else:
-            acc = 0.0 + 0.0j
-            for slow in itertools.product(range(sites), repeat=n_int - fast):
+            def block_weight(slow):
                 S = head + pairs[fast - 1][:, slow[0]]
                 for i in range(1, len(slow)):
                     S = S + pairs[fast - 1 + i][slow[i - 1], slow[i]]
-                acc += weight(S + last[slow[-1]])
+                return weight(S + last[slow[-1]])
+
+            acc = 0.0 + 0.0j
+            blocks = list(itertools.product(range(sites), repeat=n_int - fast))
+            for w in _ordered_map(block_weight, blocks):
+                acc += w
     norm = cfg.norm_per_step
     value = (norm ** k) * (dx ** n_int) * acc
     dt = (time.perf_counter() - t0) * 1e3
@@ -470,14 +509,6 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
         value=Amplitude.from_complex(complex(value)), method="enumeration",
         k=k, sites=sites, norm_per_step=Amplitude.from_complex(norm),
         runtime_ms=dt, snap_a=abs(x[ja] - cfg.a), snap_b=abs(x[jb] - cfg.b))
-
-
-def _mc_workers() -> int:
-    """CPUs this process may run on; the Monte Carlo runs one thread on
-    each, and no more threads than chunks."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
@@ -491,15 +522,20 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     V = 0 it is exact with zero variance.
 
     The samples come in chunks of _MC_CHUNK, each drawn from its own
-    SeedSequence child, and the chunks run on a thread pool with one
-    thread per CPU of the process (numpy's normal draws and array loops
-    release the interpreter lock).  Each chunk's weight sums are added in
-    chunk order, so the estimate and its stderr are bitwise reproducible
-    and do not depend on the number of threads.  The potential is called
-    from several threads at once and must be a pure function.
+    SeedSequence child.  Blocks of _MC_BLOCK chunks run on a thread pool
+    with one thread per CPU of the process (numpy's normal draws and array
+    loops release the interpreter lock).  A block allocates its arrays
+    once, at its width, draws each chunk's normals into that chunk's slice
+    and updates the bridge in place, in the operation order of one chunk
+    at a time, so every sample keeps its bits.  Each chunk's weight sums
+    are added in chunk order, so the estimate and its stderr are bitwise
+    reproducible and do not depend on the number of threads.  The
+    potential is called from several threads at once and must be a pure,
+    elementwise function.
     """
-    if samples < 100:
-        raise ValueError("samples must be at least 100")
+    if not (isinstance(samples, numbers.Integral) and samples >= 100):
+        raise InvalidParameter(
+            f"samples = {samples!r} must be an integer, at least 100")
     t0 = time.perf_counter()
     k = cfg.grid.k
     eps = cfg.grid.epsilon
@@ -513,32 +549,45 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
         * math.exp(-mass * (cfg.b - cfg.a) ** 2 / (2.0 * hbar * T))
     n_chunks = (samples + _MC_CHUNK - 1) // _MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
+    # per interior step i: tau_rest, its mean's divisor and its sd
+    bridge = []
+    for i in range(1, k):
+        tau_rest = (k - i) * eps
+        var = (hbar / mass) * eps * tau_rest / (eps + tau_rest)
+        bridge.append((tau_rest, tau_rest + eps, math.sqrt(var)))
+    eps_b, eps_over_hbar = eps * cfg.b, eps / hbar
 
-    def chunk_sums(c):
-        n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
-        rng = np.random.default_rng(children[c])
-        prev = np.full(n, cfg.a)
-        logw = np.zeros(n)
+    def block_sums(first):
+        chunks = range(first, min(first + _MC_BLOCK, n_chunks))
+        width = min(len(chunks) * _MC_CHUNK, samples - first * _MC_CHUNK)
+        rngs = [np.random.default_rng(children[c]) for c in chunks]
+        slices = [slice(j * _MC_CHUNK, (j + 1) * _MC_CHUNK)
+                  for j in range(len(chunks))]
+        prev, cur = np.full(width, cfg.a), np.empty(width)
+        mid, z, logw = np.empty(width), np.empty(width), np.zeros(width)
         for i in range(1, k + 1):
-            tau_rest = (k - i) * eps
             if i < k:
-                mu = (tau_rest * prev + eps * cfg.b) / (tau_rest + eps)
-                var = (hbar / mass) * eps * tau_rest / (eps + tau_rest)
-                cur = mu + math.sqrt(var) * rng.standard_normal(n)
+                tau_rest, denom, sd = bridge[i - 1]
+                for rng, s in zip(rngs, slices):
+                    rng.standard_normal(out=z[s])
+                np.multiply(prev, tau_rest, out=cur)
+                cur += eps_b
+                cur /= denom
+                z *= sd
+                cur += z
             else:
-                cur = np.full(n, cfg.b)
-            vm = cfg.lag.v(0.5 * (prev + cur), tmids[i - 1])
-            logw -= (eps / hbar) * vm
-            prev = cur
+                cur.fill(cfg.b)
+            np.add(prev, cur, out=mid)
+            mid *= 0.5
+            logw -= eps_over_hbar * cfg.lag.v(mid, tmids[i - 1])
+            prev, cur = cur, prev
         w = np.where(np.isfinite(logw), np.exp(logw), 0.0)
-        return float(w.sum()), float((w * w).sum())
+        return [(float(w[s].sum()), float((w[s] * w[s]).sum())) for s in slices]
 
-    from concurrent.futures import ThreadPoolExecutor
     sum_w = 0.0
     sum_w2 = 0.0
-    with ThreadPoolExecutor(max_workers=min(_mc_workers(), n_chunks)) as pool:
-        # map yields in chunk order, so the sums are added in that order
-        for s_w, s_w2 in pool.map(chunk_sums, range(n_chunks)):
+    for sums in _ordered_map(block_sums, range(0, n_chunks, _MC_BLOCK)):
+        for s_w, s_w2 in sums:
             sum_w += s_w
             sum_w2 += s_w2
     mean_w = sum_w / samples

@@ -194,7 +194,7 @@ def test_oversized_grids_exit_3_before_allocating(tmp_path, monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # nor concurrent.futures, which the Monte Carlo imports when it runs
+    # nor concurrent.futures, which the sampling pool imports when it runs
     code = ("import sys, cardpath, cardpath.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
             " or m.startswith('concurrent.futures')))")

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardpath.amplitude import WaveSample
-from cardpath.errors import GridMismatch, NonpositiveUnit, ZeroDenominator
-from cardpath.lattice import (LatticePath, SpaceGrid, TimeGrid,
+from cardpath.errors import (CardpathError, GridMismatch, InvalidParameter,
+                             NonpositiveUnit, ZeroDenominator)
+from cardpath.lattice import (LagrangianSpec, LatticePath, SpaceGrid, TimeGrid,
                               discretized_action, free_particle,
                               harmonic_oscillator, linear_potential,
                               path_probability_product, transition_ratio,
@@ -24,6 +25,50 @@ def test_time_grid_basics():
         TimeGrid(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1.0, 3)
+
+
+_NOT_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _refused(make):
+    with pytest.raises(InvalidParameter) as info:
+        make()
+    assert isinstance(info.value, CardpathError)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE)
+def test_time_grid_refuses_non_finite(bad):
+    _refused(lambda: TimeGrid(bad, 1.0, 4))
+    _refused(lambda: TimeGrid(0.0, bad, 4))
+    _refused(lambda: TimeGrid(0.0, 1.0, bad))
+    _refused(lambda: TimeGrid(-1e308, 1e308, 4))  # the duration overflows
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE)
+def test_space_grid_refuses_non_finite(bad):
+    _refused(lambda: SpaceGrid(bad, 1.0, 5))
+    _refused(lambda: SpaceGrid(-1.0, bad, 5))
+    _refused(lambda: SpaceGrid(-1.0, 1.0, bad))
+    _refused(lambda: SpaceGrid(-1e308, 1e308, 5))  # the width overflows
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE + (0.0, -1.0))
+def test_lagrangian_refuses_bad_mass(bad):
+    _refused(lambda: LagrangianSpec(mass=bad, potential=lambda r, t: r))
+    _refused(lambda: free_particle(mass=bad))
+    _refused(lambda: harmonic_oscillator(mass=bad))
+
+
+def test_grids_refuse_non_positive_or_fractional_sizes():
+    _refused(lambda: TimeGrid(0.0, 1.0, 0))
+    _refused(lambda: TimeGrid(0.0, 1.0, 2.5))
+    _refused(lambda: SpaceGrid(-1.0, 1.0, 20.5))
+    _refused(lambda: TimeGrid(0.0, 1.0, -3))
+    _refused(lambda: TimeGrid(1.0, 0.0, 3))
+    _refused(lambda: SpaceGrid(-1.0, 1.0, 1))
+    _refused(lambda: SpaceGrid(-1.0, 1.0, -5))
+    _refused(lambda: SpaceGrid(1.0, -1.0, 5))
 
 
 def test_space_grid_nearest_index_clips():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import sys
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from cardpath import propagator
-from cardpath.errors import GridMismatch, TooLarge, UnboundedPotential
+from cardpath.errors import (CardpathError, GridMismatch, InvalidParameter,
+                             TooLarge, UnboundedPotential)
 from cardpath.lattice import (LagrangianSpec, SpaceGrid, TimeGrid,
                               free_particle, harmonic_oscillator,
                               linear_potential)
@@ -24,6 +26,18 @@ def _small_cfg(lag=None, k=4, sites=7, hbar=1.0, a=-0.3, b=0.4):
     return PropagatorConfig(grid=TimeGrid(0.0, 1.0, k),
                             space=SpaceGrid(-1.0, 1.0, sites),
                             lag=lag or free_particle(), hbar=hbar, a=a, b=b)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_config_refuses_bad_hbar_and_endpoints(bad):
+    cfg = _small_cfg()
+    fields = ("hbar",) if math.isfinite(bad) else ("hbar", "a", "b")
+    for field in fields:
+        args = {"hbar": 1.0, "a": 0.0, "b": 0.5, field: bad}
+        with pytest.raises(InvalidParameter) as info:
+            PropagatorConfig(grid=cfg.grid, space=cfg.space, lag=cfg.lag, **args)
+        assert isinstance(info.value, CardpathError), field
+        assert isinstance(info.value, ValueError), field
 
 
 def test_norm_per_step_value():
@@ -325,6 +339,72 @@ def test_enumeration_blocks_match_digit_form_and_naive_oracle(monkeypatch, chunk
                     assert abs(got - kn) <= 1e-12 * abs(kn), (lag.label, k, sites)
 
 
+def _serial_block_enumeration(cfg):
+    # propagate_enumerate's blocks one after another on one thread, their
+    # weights added in mixed-radix order of the slow sites
+    k, sites, eps = cfg.grid.k, cfg.space.sites, cfg.grid.epsilon
+    x = cfg.space.points()
+    tmids = cfg.grid.midpoint_times()
+
+    def step_action(i, r0, r1):
+        drv = (r1 - r0) / eps
+        vm = cfg.lag.v(0.5 * (r1 + r0), tmids[i - 1])
+        return (0.5 * cfg.lag.mass * drv * drv - vm) * eps
+
+    def weight(S):
+        return np.sum(np.exp(1j * S[np.isfinite(S)] / cfg.hbar))
+
+    n_int = k - 1
+    ja, jb = cfg.space.nearest_index(cfg.a), cfg.space.nearest_index(cfg.b)
+    xa, xb = x[ja:ja + 1], x[jb:jb + 1]
+    pairs = [step_action(i, x[:, None], x[None, :]) for i in range(2, k)]
+    last = step_action(k, x, xb)
+    fast = 1
+    while fast < n_int and sites ** (fast + 1) <= propagator._ENUM_CHUNK:
+        fast += 1
+    head = step_action(1, xa, x)
+    for block in pairs[:fast - 1]:
+        head = head[..., None] + block
+    if fast == n_int:
+        acc = weight(head + last)
+    else:
+        acc = 0.0 + 0.0j
+        for slow in itertools.product(range(sites), repeat=n_int - fast):
+            S = head + pairs[fast - 1][:, slow[0]]
+            for i in range(1, len(slow)):
+                S = S + pairs[fast - 1 + i][slow[i - 1], slow[i]]
+            acc += weight(S + last[slow[-1]])
+    return complex(cfg.norm_per_step ** k * cfg.space.dx ** n_int * acc)
+
+
+@pytest.mark.parametrize("chunk", [1, 40])
+def test_enumeration_pool_bits_match_serial_blocks(monkeypatch, chunk):
+    # chunk 1 and 40 leave one or two slow sites, so the blocks go through
+    # the pool; every pool size must give the serial loop's bits
+    monkeypatch.setattr(propagator, "_ENUM_CHUNK", chunk)
+    td = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.5 * r * r
+                        + 0.7 * np.sin(3.0 * t) + 0.3 * r * t,
+                        time_dependent=True, label="td")
+    walled = LagrangianSpec(mass=1.0, potential=_walled, label="box")
+    cases = []
+    for lag in (free_particle(), harmonic_oscillator(1.0, 1.3), td, walled):
+        for k in (3, 4):
+            for sites in (5, 12):
+                cfg = _small_cfg(lag, k=k, sites=sites, hbar=0.8, a=-0.31, b=0.42)
+                cases.append((cfg, _serial_block_enumeration(cfg)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the pool's threads often
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(propagator, "_workers", lambda: workers)
+            for cfg, want in cases:
+                got = propagate_enumerate(cfg).value.to_complex()
+                assert got == want, (cfg.lag.label, cfg.grid.k,
+                                     cfg.space.sites, workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_enumeration_guard():
     cfg = _small_cfg(k=6, sites=30)
     with pytest.raises(TooLarge):
@@ -538,18 +618,23 @@ def _serial_monte_carlo(cfg, samples, seed):
     LagrangianSpec(mass=1.0, potential=lambda r, t: (1.0 + t) * r * r + 0.3 * t,
                    time_dependent=True, label="td_harmonic")],
     ids=["harmonic", "time_dependent"])
-@pytest.mark.parametrize("samples", [3 * 4096 + 17, 8 * 4096 + 17])
+@pytest.mark.parametrize("samples", [
+    3 * 4096 + 17, 8 * 4096 + 17,
+    2 * propagator._MC_BLOCK * 4096 + 3 * 4096 + 17])
 def test_monte_carlo_pool_bits_match_serial_chunks(monkeypatch, lag, samples):
-    # 4 and 9 chunks, the last one short: every pool size gives the serial
-    # bits.  Under seed 2 the sums added in reverse chunk order differ in
-    # the last bits in all four cases, so the order is checked too.
+    # 4, 9 and 2 * _MC_BLOCK + 4 chunks, the last one short: every pool
+    # size gives the serial bits, also over three blocks of chunks with the
+    # short chunk in the last block.  Under seed 2, chunk sums added in
+    # reverse order change the last bits in five of the six cases, and
+    # blocks added in reverse order change both three-block cases, so the
+    # order is checked too.
     cfg = _small_cfg(lag, k=8, sites=41, a=0.0, b=0.5)
     est, stderr = _serial_monte_carlo(cfg, samples, seed=2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the pool's threads often
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setattr(propagator, "_mc_workers", lambda: workers)
+            monkeypatch.setattr(propagator, "_workers", lambda: workers)
             res = propagate_monte_carlo_euclidean(cfg, samples=samples, seed=2)
             assert res.value.re == est and res.value.im == 0.0, workers
             assert res.stderr == stderr, workers
@@ -568,8 +653,9 @@ def test_monte_carlo_matches_harmonic_kernel():
 
 
 def test_monte_carlo_guards():
-    with pytest.raises(ValueError):
-        propagate_monte_carlo_euclidean(_small_cfg(), samples=50, seed=0)
+    for samples in (50, 150.5, math.nan):
+        with pytest.raises(InvalidParameter):
+            propagate_monte_carlo_euclidean(_small_cfg(), samples=samples, seed=0)
 
     def bottomless(r, t):
         r = np.asarray(r, dtype=float)
