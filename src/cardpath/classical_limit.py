@@ -20,25 +20,16 @@ rises toward 1.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NoConvergence
-from .lattice import (LagrangianSpec, LatticePath, SpaceGrid, TimeGrid,
+from .lattice import (LagrangianSpec, LatticePath, TimeGrid,
                       discretized_action)
 from .propagator import (PropagatorConfig, StepOperator, convergence_recipe,
                          gaussian_window, sweep)
-
-
-def _step_potential_derivs(lag: LagrangianSpec, mids: np.ndarray,
-                           tmids: np.ndarray) -> np.ndarray:
-    if lag.time_dependent:
-        return np.array([float(lag.v_prime(mids[i], tmids[i]))
-                         for i in range(mids.size)])
-    return np.asarray(lag.v_prime(mids, tmids[0]), dtype=float)
 
 
 def action_gradient(path: LatticePath, lag: LagrangianSpec,
@@ -48,8 +39,7 @@ def action_gradient(path: LatticePath, lag: LagrangianSpec,
     if r.size != grid.k + 1:
         raise ValueError("path length does not match the time grid")
     eps = grid.epsilon
-    mids = 0.5 * (r[1:] + r[:-1])
-    vp = _step_potential_derivs(lag, mids, grid.midpoint_times())
+    vp = lag._at_midpoints(lag.v_prime, r, grid)
     kin = lag.mass * (2.0 * r[1:-1] - r[:-2] - r[2:]) / eps
     return kin - 0.5 * eps * (vp[:-1] + vp[1:])
 
@@ -71,19 +61,6 @@ def finite_difference_action_gradient(path: LatticePath, lag: LagrangianSpec,
     return out
 
 
-def _second_derivs(lag: LagrangianSpec, mids: np.ndarray,
-                   tmids: np.ndarray) -> np.ndarray:
-    h = 1e-6 * np.maximum(1.0, np.abs(mids))
-    if lag.time_dependent:
-        return np.array([
-            float((lag.v_prime(mids[i] + h[i], tmids[i])
-                   - lag.v_prime(mids[i] - h[i], tmids[i])) / (2.0 * h[i]))
-            for i in range(mids.size)])
-    t = tmids[0]
-    return (np.asarray(lag.v_prime(mids + h, t), dtype=float)
-            - np.asarray(lag.v_prime(mids - h, t), dtype=float)) / (2.0 * h)
-
-
 def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float, b: float,
                    tol: float = 1e-10, max_iter: int = 200) -> LatticePath:
     """Stationary point of the lattice action with pinned endpoints.
@@ -98,16 +75,18 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float, b: float,
         return LatticePath((float(a), float(b)))
     from scipy.linalg import solve_banded
 
+    def v_second(r, t):
+        h = 1e-6 * np.maximum(1.0, np.abs(r))
+        return (lag.v_prime(r + h, t) - lag.v_prime(r - h, t)) / (2.0 * h)
+
     eps = grid.epsilon
-    tmids = grid.midpoint_times()
     r = np.linspace(a, b, k + 1)
     for _ in range(max_iter):
         g = action_gradient(LatticePath(tuple(r)), lag, grid)
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol:
             return LatticePath(tuple(r))
-        mids = 0.5 * (r[1:] + r[:-1])
-        vpp = _second_derivs(lag, mids, tmids)
+        vpp = lag._at_midpoints(v_second, r, grid)
         diag = 2.0 * lag.mass / eps - 0.25 * eps * (vpp[:-1] + vpp[1:])
         off = -lag.mass / eps - 0.25 * eps * vpp[1:-1]
         ab = np.zeros((3, k - 1))
@@ -146,7 +125,6 @@ class ConcentrationScan:
     m_scale: tuple
     argmax_offset: tuple
     dx_values: tuple
-    runtime_ms: tuple
 
     def __post_init__(self):
         for f in self.mass_fraction:
@@ -156,14 +134,13 @@ class ConcentrationScan:
 
 def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
                          centers: Sequence[float], source_width: float,
-                         phase_free: bool = False,
                          step: Optional[StepOperator] = None) -> np.ndarray:
     """Per-slice tube fractions f_1 .. f_{k-1} of the windowed path sum.
 
     centers must hold the k+1 slice positions of the reference path.
     Time-independent potentials only (one step operator, reused forward
-    and backward); step may pass in StepOperator(cfg, 1, phase_free) when
-    the caller has built it already.
+    and backward); step may pass in StepOperator(cfg, 1) when the caller
+    has built it already.
     """
     if cfg.lag.time_dependent:
         raise ValueError("slice fractions need a time-independent potential")
@@ -177,12 +154,10 @@ def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
     p = cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration
     wa = gaussian_window(x, cfg.a, source_width, p, cfg.hbar)
     wb = gaussian_window(x, cfg.b, source_width, p, cfg.hbar)
-    if phase_free:
-        wa, wb = np.abs(wa), np.abs(wb)
     if step is None:
-        step = StepOperator(cfg, 1, phase_free=phase_free)
-    fwd = sweep(cfg, wa.astype(complex), step, keep=True)
-    bwd = sweep(cfg, np.conj(wb).astype(complex), step, keep=True)
+        step = StepOperator(cfg, 1)
+    fwd = sweep(cfg, wa, step, keep=True)
+    bwd = sweep(cfg, np.conj(wb), step, keep=True)
     fracs = np.empty(k - 1)
     for i in range(1, k):
         beta = np.abs(fwd[i] * bwd[k - i]) * dx
@@ -222,46 +197,35 @@ def packet_argmax_offset(cfg: PropagatorConfig, target: float,
 
 def concentration_scan(lag: LagrangianSpec, t_total: float, a: float, b: float,
                        hbar_values: Sequence[float], delta: float,
-                       k: int = 16,
-                       space: Optional[SpaceGrid] = None,
-                       source_width: Optional[float] = None,
-                       phase_free: bool = False) -> ConcentrationScan:
+                       k: int = 16) -> ConcentrationScan:
     """Sweep hbar and record how sharply the path sum hugs the classical path.
 
     For each hbar the grid and window come from `convergence_recipe` (the
-    alias-safe site count changes with hbar), unless an explicit space and
-    source_width pin them.  Each hbar builds one step operator, shared by
-    the forward and backward slice sweeps and the packet sweep.
+    alias-safe site count changes with hbar).  Each hbar builds one step
+    operator, shared by the forward and backward slice sweeps and the
+    packet sweep.
     """
     grid = TimeGrid(0.0, t_total, k)
     hbars = tuple(float(h) for h in hbar_values)
-    if space is None:
-        # every recipe's site-count guard runs before the k-sized Newton solve
-        windows = [convergence_recipe(lag, hbar, t_total, a, b, k=k)[1:]
-                   for hbar in hbars]
-    elif source_width is None:
-        raise ValueError("source_width is required with an explicit space grid")
-    else:
-        windows = [(space, source_width)] * len(hbars)
+    # every recipe's site-count guard runs before the k-sized Newton solve
+    windows = [convergence_recipe(lag, hbar, t_total, a, b, k=k)[1:]
+               for hbar in hbars]
     cl = classical_path(lag, grid, a, b)
     centers = cl.as_array()
     s_cl = discretized_action(cl, grid, lag)
 
     rows = []
     for hbar, (sp, sw) in zip(hbars, windows):
-        t0 = time.perf_counter()
         cfg = PropagatorConfig(grid=grid, space=sp, lag=lag, hbar=hbar, a=a, b=b)
         step = StepOperator(cfg, 1)
-        frac = float(np.mean(slice_tube_fractions(
-            cfg, delta, centers, sw, phase_free=phase_free,
-            step=None if phase_free else step)))
+        frac = float(np.mean(slice_tube_fractions(cfg, delta, centers, sw,
+                                                  step=step)))
         off = packet_argmax_offset(cfg, b, step=step, path=cl)
-        rows.append((frac, off, sp.dx, (time.perf_counter() - t0) * 1e3))
+        rows.append((frac, off, sp.dx))
     return ConcentrationScan(
         hbar_values=hbars, delta=delta,
         mass_fraction=tuple(r[0] for r in rows),
         classical_path=cl,
         m_scale=tuple(s_cl / (2.0 * math.pi * h) for h in hbars),
         argmax_offset=tuple(r[1] for r in rows),
-        dx_values=tuple(r[2] for r in rows),
-        runtime_ms=tuple(r[3] for r in rows))
+        dx_values=tuple(r[2] for r in rows))

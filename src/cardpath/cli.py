@@ -41,14 +41,6 @@ _EXPERIMENTS = ("propagator_convergence", "interference",
 _MAPPING_POINT_BYTES = 320
 
 
-def _as_float(v: str) -> float:
-    return float(v)
-
-
-def _as_int(v: str) -> int:
-    return int(v)
-
-
 def _as_float_list(v: str) -> tuple:
     parts = [p.strip() for p in v.split(",") if p.strip()]
     if not parts:
@@ -68,39 +60,39 @@ def _as_choice(*options):
 _SCHEMAS = {
     "propagator_convergence": {
         "family": (_as_choice("free", "harmonic"), "free"),
-        "mass": (_as_float, 1.0),
-        "hbar": (_as_float, 1.0),
-        "omega": (_as_float, 1.0),
-        "t_total": (_as_float, 1.0),
-        "a": (_as_float, 0.0),
-        "b": (_as_float, 0.5),
-        "k": (_as_int, RECIPE_K),
+        "mass": (float, 1.0),
+        "hbar": (float, 1.0),
+        "omega": (float, 1.0),
+        "t_total": (float, 1.0),
+        "a": (float, 0.0),
+        "b": (float, 0.5),
+        "k": (int, RECIPE_K),
     },
     "interference": {
-        "mass": (_as_float, 1.0),
-        "hbar": (_as_float, 1.0),
-        "t_total": (_as_float, 1.0),
-        "slit_separation": (_as_float, 2.0),
-        "slit_width": (_as_float, 0.15),
-        "screen_half_width": (_as_float, 10.0),
-        "sites": (_as_int, 0),
+        "mass": (float, 1.0),
+        "hbar": (float, 1.0),
+        "t_total": (float, 1.0),
+        "slit_separation": (float, 2.0),
+        "slit_width": (float, 0.15),
+        "screen_half_width": (float, 10.0),
+        "sites": (int, 0),
     },
     "concentration_scan": {
         "family": (_as_choice("free", "harmonic"), "free"),
-        "mass": (_as_float, 1.0),
-        "omega": (_as_float, 1.0),
-        "t_total": (_as_float, 1.0),
-        "a": (_as_float, 0.0),
-        "b": (_as_float, 1.0),
-        "delta": (_as_float, 0.2),
-        "k": (_as_int, 16),
+        "mass": (float, 1.0),
+        "omega": (float, 1.0),
+        "t_total": (float, 1.0),
+        "a": (float, 0.0),
+        "b": (float, 1.0),
+        "delta": (float, 0.2),
+        "k": (int, 16),
         "hbar_values": (_as_float_list, (1.0, 0.5, 0.25, 0.125, 0.0625)),
     },
     "mapping_demo": {
-        "count": (_as_int, 1000),
-        "units": (_as_int, 4),
-        "lo": (_as_float, 0.0),
-        "hi": (_as_float, 1.0),
+        "count": (int, 1000),
+        "units": (int, 4),
+        "lo": (float, 0.0),
+        "hi": (float, 1.0),
     },
 }
 

@@ -41,7 +41,7 @@ _PCG_MULT_LIMBS = tuple((_PCG_MULT >> (32 * i)) & _MASK32 for i in range(4))
 
 @dataclass(frozen=True)
 class IntermediatePoint:
-    """Countable coordinate n, optional continuous image, optional event time."""
+    """Countable coordinate n and, once realized, its continuous image."""
 
     n: float
     image: Optional[float] = None

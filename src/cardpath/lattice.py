@@ -126,6 +126,19 @@ class LagrangianSpec:
         h = 1e-6 * np.maximum(1.0, np.abs(r))
         return (self.v(r + h, t) - self.v(r - h, t)) / (2.0 * h)
 
+    def _at_midpoints(self, fn, r: np.ndarray, grid: TimeGrid) -> np.ndarray:
+        """fn at each step's midpoint (r_{i-1} + r_i)/2 and midpoint time
+        t_{i-1/2}, i = 1..k, for the k+1 sites r of a path on grid.
+
+        A time-dependent potential calls fn once per step; any other calls
+        it once on all k midpoints at t_{1/2}.
+        """
+        mids = 0.5 * (r[1:] + r[:-1])
+        tmids = grid.midpoint_times()
+        if self.time_dependent:
+            return np.array([float(fn(m, t)) for m, t in zip(mids, tmids)])
+        return np.asarray(fn(mids, tmids[0]), dtype=float)
+
 
 def free_particle(mass: float = 1.0) -> LagrangianSpec:
     return LagrangianSpec(mass=mass, potential=lambda r, t: np.zeros_like(r),
@@ -155,12 +168,7 @@ def discretized_action(path: LatticePath, grid: TimeGrid, lag: LagrangianSpec) -
     eps = grid.epsilon
     dr = np.diff(r)
     kinetic = 0.5 * lag.mass * (dr / eps) ** 2
-    mids = 0.5 * (r[1:] + r[:-1])
-    if lag.time_dependent:
-        tmids = grid.midpoint_times()
-        pot = np.array([float(lag.v(m, t)) for m, t in zip(mids, tmids)])
-    else:
-        pot = lag.v(mids, grid.t_a)
+    pot = lag._at_midpoints(lag.v, r, grid)
     return float(np.sum((kinetic - pot) * eps))
 
 

@@ -188,8 +188,7 @@ def shooting_euler_lagrange(lag: LagrangianSpec, a: float, b: float,
     return LatticePath(tuple(rec))
 
 
-def naive_enumeration(cfg: "PropagatorConfig",
-                      norm_per_step: Optional[complex] = None) -> Amplitude:
+def naive_enumeration(cfg: "PropagatorConfig") -> Amplitude:
     """Sum over all interior site assignments by plain recursive descent.
 
     Independent re-derivation of the pinned path sum: no arrays, no shared
@@ -206,8 +205,7 @@ def naive_enumeration(cfg: "PropagatorConfig",
     xa = xs[cfg.space.nearest_index(cfg.a)]
     xb = xs[cfg.space.nearest_index(cfg.b)]
     mass, hbar = cfg.lag.mass, cfg.hbar
-    if norm_per_step is None:
-        norm_per_step = cmath.sqrt(mass / (2j * math.pi * hbar * eps))
+    norm_per_step = cmath.sqrt(mass / (2j * math.pi * hbar * eps))
     tmids = [cfg.grid.t_a + (i - 0.5) * eps for i in range(1, k + 1)]
 
     def step_phase(r0, r1, i):

@@ -63,7 +63,6 @@ import itertools
 import math
 import numbers
 import os
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,9 +102,14 @@ class PropagatorConfig:
         if not 0 < self.hbar < math.inf:
             raise InvalidParameter(
                 f"hbar = {self.hbar!r} must be positive and finite")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+        # snapping to the nearest site is by design; an endpoint farther
+        # than half a spacing off the grid would be clamped to its edge
+        half = 0.5 * self.space.dx
+        if not (self.space.lo - half <= self.a <= self.space.hi + half
+                and self.space.lo - half <= self.b <= self.space.hi + half):
             raise InvalidParameter(
-                f"a = {self.a!r} and b = {self.b!r} must be finite")
+                f"a = {self.a!r} and b = {self.b!r} must be finite and within "
+                f"half a spacing of [{self.space.lo!r}, {self.space.hi!r}]")
 
     @property
     def norm_per_step(self) -> complex:
@@ -119,13 +123,9 @@ class PropagatorResult:
     method: str
     k: int
     sites: int
-    norm_per_step: Amplitude
     stderr: Optional[float] = None
-    runtime_ms: float = 0.0
     snap_a: float = 0.0
     snap_b: float = 0.0
-    source_width: Optional[float] = None
-    source_momentum: Optional[float] = None
 
     @property
     def probability(self) -> float:
@@ -134,9 +134,7 @@ class PropagatorResult:
 
 
 def convergence_recipe(lag: LagrangianSpec, hbar: float, t_total: float,
-                       a: float, b: float, k: int = RECIPE_K,
-                       half_width_factor: float = RECIPE_HALF_WIDTH_FACTOR,
-                       safety: float = RECIPE_ALIAS_SAFETY):
+                       a: float, b: float, k: int = RECIPE_K):
     """Grid, step count, and window width for percent-level kernel runs.
 
     Returns (TimeGrid, SpaceGrid, source_width).  The spatial site count
@@ -144,10 +142,10 @@ def convergence_recipe(lag: LagrangianSpec, hbar: float, t_total: float,
     it grows like W^2 * k, so k and sites are coupled rather than
     independent knobs.
     """
-    hw = half_width_factor * math.sqrt(hbar * t_total / lag.mass)
+    hw = RECIPE_HALF_WIDTH_FACTOR * math.sqrt(hbar * t_total / lag.mass)
     lo, hi = min(a, b) - hw, max(a, b) + hw
     W = hi - lo
-    sites = site_count(2.0 * lag.mass * W * W * k * safety
+    sites = site_count(2.0 * lag.mass * W * W * k * RECIPE_ALIAS_SAFETY
                        / (math.pi * hbar * t_total))
     grid = TimeGrid(0.0, t_total, k)
     space = SpaceGrid(lo, hi, sites)
@@ -182,13 +180,11 @@ def _midpoint_potential(cfg: PropagatorConfig, step_index: int):
     return r, np.broadcast_to(cfg.lag.v(r, t_mid), r.shape)
 
 
-def step_matrix(cfg: PropagatorConfig, step_index: int = 1,
-                phase_free: bool = False) -> np.ndarray:
+def step_matrix(cfg: PropagatorConfig, step_index: int = 1) -> np.ndarray:
     """One-step kernel matrix T[j', j] = norm * dx * e^{i S_step / hbar}.
 
     step_index selects the midpoint time t_{i-1/2} for time-dependent
-    potentials.  With phase_free=True the step action is forced to zero and
-    only the modulus |norm| * dx remains (counting-measure mode).
+    potentials.
 
     On the uniform grid T = norm * dx * kin[|j' - j|] * pot[j + j'], so the
     build takes 3*sites exponentials and one sites x sites allocation; a
@@ -196,15 +192,13 @@ def step_matrix(cfg: PropagatorConfig, step_index: int = 1,
     before allocating, when the matrix would exceed _DENSE_GUARD bytes.
     """
     n = cfg.space.sites
-    nbytes = n * n * (8 if phase_free else 16)
+    nbytes = n * n * 16
     if nbytes > _DENSE_GUARD:
         raise TooLarge(f"a {n} x {n} step matrix needs {nbytes} bytes, "
                        f"over the {_DENSE_GUARD}-byte guard")
     dx = cfg.space.dx
-    norm = cfg.norm_per_step
-    if phase_free:
-        return np.full((n, n), abs(norm) * dx)
     d = dx * np.arange(n)
+    norm = cfg.norm_per_step
     kin = norm * dx * np.exp(1j * cfg.lag.mass * d * d
                              / (2.0 * cfg.grid.epsilon * cfg.hbar))
     _, v = _midpoint_potential(cfg, step_index)
@@ -248,7 +242,6 @@ class StepOperator:
     and the Toeplitz product with g is an FFT by circulant embedding, with
     no sites x sites array.  Any other potential, including one that is not
     finite somewhere on the grid, applies the dense step_matrix with BLAS.
-    phase_free=True is the counting-measure step of step_matrix.
 
     The FFT path owns one complex work buffer of the padded length L, and
     apply runs both transforms in it in place (scipy's overwrite_x gives
@@ -266,8 +259,7 @@ class StepOperator:
     then larger still.
     """
 
-    def __init__(self, cfg: PropagatorConfig, step_index: int = 1,
-                 phase_free: bool = False):
+    def __init__(self, cfg: PropagatorConfig, step_index: int = 1):
         n = cfg.space.sites
         # the arrays at their least padded length first, so that
         # next_fast_len only ever sees a site count the guard allows
@@ -280,17 +272,13 @@ class StepOperator:
             raise TooLarge(f"a {n}-site step operator needs {nbytes} bytes, "
                            f"over the {_DENSE_GUARD}-byte guard")
         eps, hbar = cfg.grid.epsilon, cfg.hbar
-        scale = cfg.norm_per_step * cfg.space.dx
         self._matrix = None
-        if phase_free:
-            chirp, (c0, c1, c2), scale = 0.0, (0.0, 0.0, 0.0), abs(scale)
-        else:
-            fit = _quadratic_fit(*_midpoint_potential(cfg, step_index), eps / hbar)
-            if fit is None:
-                self._matrix = step_matrix(cfg, step_index)
-                return
-            c0, c1, c2 = fit
-            chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
+        fit = _quadratic_fit(*_midpoint_potential(cfg, step_index), eps / hbar)
+        if fit is None:
+            self._matrix = step_matrix(cfg, step_index)
+            return
+        c0, c1, c2 = fit
+        chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
         self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft
         g = np.zeros(size, dtype=complex)
         d = cfg.space.dx * np.arange(n)
@@ -300,6 +288,7 @@ class StepOperator:
         self._work = np.empty(size, dtype=complex)
         x = cfg.space.points()
         self._d_in = np.exp(-1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
+        scale = cfg.norm_per_step * cfg.space.dx
         self._d_out = scale * np.exp(-1j * eps * c0 / hbar) * self._d_in
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
@@ -347,7 +336,6 @@ def gaussian_window(x: np.ndarray, center: float, width: float,
 
 def propagate_transfer_matrix(cfg: PropagatorConfig,
                               source_width: Optional[float] = None,
-                              source_momentum: Optional[float] = None,
                               ) -> PropagatorResult:
     """Pinned path sum via k applications of the one-step kernel matrix.
 
@@ -356,38 +344,24 @@ def propagate_transfer_matrix(cfg: PropagatorConfig,
     with enumeration on any grid.
 
     source_width=s: Gaussian-windowed matrix element <w_b| T^k |w_a> * dx
-    with windows of width s and momentum boost (default mass*(b-a)/T).
-    Use with `convergence_recipe` grids; compare against
+    with windows of width s and momentum boost mass*(b-a)/T.  Use with
+    `convergence_recipe` grids; compare against
     oracles.analytic_propagator(..., source_width=s).
     """
-    t0 = time.perf_counter()
-    step = StepOperator(cfg, 1)  # size guard before any grid-sized array
+    momentum = cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration
+    psi = transfer_matrix_vector(cfg, cfg.a, source_width, momentum)
     x = cfg.space.points()
-    dx = cfg.space.dx
     ja = cfg.space.nearest_index(cfg.a)
     jb = cfg.space.nearest_index(cfg.b)
-    if source_width is None:
-        psi = np.zeros(x.size, dtype=complex)
-        psi[ja] = 1.0 / dx
-        momentum = None
-    else:
-        momentum = (cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration
-                    if source_momentum is None else source_momentum)
-        psi = gaussian_window(x, cfg.a, source_width, momentum, cfg.hbar)
-    psi = sweep(cfg, psi, step)
     if source_width is None:
         value = complex(psi[jb])
     else:
         wb = gaussian_window(x, cfg.b, source_width, momentum, cfg.hbar)
-        value = complex((np.conj(wb) * psi).sum() * dx)
-    dt = (time.perf_counter() - t0) * 1e3
+        value = complex((np.conj(wb) * psi).sum() * cfg.space.dx)
     return PropagatorResult(
         value=Amplitude.from_complex(value), method="transfer_matrix",
         k=cfg.grid.k, sites=cfg.space.sites,
-        norm_per_step=Amplitude.from_complex(cfg.norm_per_step),
-        runtime_ms=dt,
-        snap_a=abs(x[ja] - cfg.a), snap_b=abs(x[jb] - cfg.b),
-        source_width=source_width, source_momentum=momentum)
+        snap_a=abs(x[ja] - cfg.a), snap_b=abs(x[jb] - cfg.b))
 
 
 def transfer_matrix_vector(cfg: PropagatorConfig, start: float,
@@ -395,16 +369,20 @@ def transfer_matrix_vector(cfg: PropagatorConfig, start: float,
                            source_momentum: float = 0.0) -> np.ndarray:
     """Vector of kernel values K(x_j, start) over the whole grid.
 
-    With the symmetric step matrix this also serves as K(start, x_j), which
-    is how composition over an intermediate time slice is checked.
+    source_width=None starts from delta_start / dx at the nearest site;
+    a width s starts from the Gaussian window of width s at start with
+    momentum boost source_momentum.  With the symmetric step matrix this
+    also serves as K(start, x_j), which is how composition over an
+    intermediate time slice is checked.
     """
-    x = cfg.space.points()
-    psi = np.zeros(x.size, dtype=complex)
+    step = StepOperator(cfg, 1)  # size guard before any grid-sized array
     if source_width is None:
+        psi = np.zeros(cfg.space.sites, dtype=complex)
         psi[cfg.space.nearest_index(start)] = 1.0 / cfg.space.dx
     else:
-        psi = gaussian_window(x, start, source_width, source_momentum, cfg.hbar)
-    return sweep(cfg, psi)
+        psi = gaussian_window(cfg.space.points(), start, source_width,
+                              source_momentum, cfg.hbar)
+    return sweep(cfg, psi, step)
 
 
 def compose(kernel_from_a: np.ndarray, kernel_to_b: np.ndarray, dx: float) -> Amplitude:
@@ -452,7 +430,6 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     same bits on any number of CPUs.  Every call of the potential happens
     before the pool starts, on the calling thread.
     """
-    t0 = time.perf_counter()
     k = cfg.grid.k
     sites = cfg.space.sites
     n_int = k - 1
@@ -502,13 +479,10 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
             blocks = list(itertools.product(range(sites), repeat=n_int - fast))
             for w in _ordered_map(block_weight, blocks):
                 acc += w
-    norm = cfg.norm_per_step
-    value = (norm ** k) * (dx ** n_int) * acc
-    dt = (time.perf_counter() - t0) * 1e3
+    value = (cfg.norm_per_step ** k) * (dx ** n_int) * acc
     return PropagatorResult(
         value=Amplitude.from_complex(complex(value)), method="enumeration",
-        k=k, sites=sites, norm_per_step=Amplitude.from_complex(norm),
-        runtime_ms=dt, snap_a=abs(x[ja] - cfg.a), snap_b=abs(x[jb] - cfg.b))
+        k=k, sites=sites, snap_a=abs(x[ja] - cfg.a), snap_b=abs(x[jb] - cfg.b))
 
 
 def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
@@ -536,7 +510,6 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     if not (isinstance(samples, numbers.Integral) and samples >= 100):
         raise InvalidParameter(
             f"samples = {samples!r} must be an integer, at least 100")
-    t0 = time.perf_counter()
     k = cfg.grid.k
     eps = cfg.grid.epsilon
     mass, hbar = cfg.lag.mass, cfg.hbar
@@ -594,9 +567,6 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     var_w = max(0.0, (sum_w2 - samples * mean_w * mean_w) / max(samples - 1, 1))
     est = kfree * mean_w
     stderr = kfree * math.sqrt(var_w / samples)
-    dt = (time.perf_counter() - t0) * 1e3
     return PropagatorResult(
         value=Amplitude(est, 0.0), method="monte_carlo",
-        k=k, sites=cfg.space.sites,
-        norm_per_step=Amplitude.from_complex(cfg.norm_per_step),
-        stderr=stderr, runtime_ms=dt)
+        k=k, sites=cfg.space.sites, stderr=stderr)

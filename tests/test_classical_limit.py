@@ -77,11 +77,11 @@ def test_fd_gradient_vanishes_at_stationary_path():
     assert np.max(np.abs(fd)) <= 1e-6 * max(s_cl, 1.0)
 
 
-def _fixed_cfg(hbar=1.0, k=6, sites=241):
+def _fixed_cfg(k=6, sites=241):
     lag = free_particle(1.0)
     return PropagatorConfig(grid=TimeGrid(0.0, 1.0, k),
                             space=SpaceGrid(-2.0, 3.0, sites),
-                            lag=lag, hbar=hbar, a=0.0, b=1.0)
+                            lag=lag, hbar=1.0, a=0.0, b=1.0)
 
 
 def test_slice_fractions_are_fractions_and_grow_with_delta():
@@ -139,7 +139,6 @@ def test_concentration_scan_small():
     assert math.isclose(scan.m_scale[1], scan.m_scale[0] * 4.0, rel_tol=1e-12)
     assert scan.classical_path.sites[0] == 0.0
     assert scan.classical_path.sites[-1] == 1.0
-    assert all(rt > 0 for rt in scan.runtime_ms)
     assert all(off < 2.0 * dx for off, dx in zip(scan.argmax_offset,
                                                  scan.dx_values))
 
@@ -149,7 +148,7 @@ def test_scan_invariant_rejects_out_of_range_fraction():
         ConcentrationScan(hbar_values=(1.0,), delta=0.1, mass_fraction=(1.5,),
                           classical_path=LatticePath((0.0, 1.0)),
                           m_scale=(1.0,), argmax_offset=(0.0,),
-                          dx_values=(0.1,), runtime_ms=(1.0,))
+                          dx_values=(0.1,))
 
 
 def test_mass_sweep_equals_hbar_sweep():
@@ -173,11 +172,3 @@ def test_packet_lands_on_target():
         off = packet_argmax_offset(cfg, 1.0)
         assert off <= 2.0 * space.dx, lag.label
 
-
-def test_phase_free_mode_matches_large_hbar_fractions():
-    centers = np.linspace(0.0, 1.0, 7)
-    f_pf = slice_tube_fractions(_fixed_cfg(hbar=1.0), 0.4, centers,
-                                source_width=0.3, phase_free=True)
-    f_big = slice_tube_fractions(_fixed_cfg(hbar=1e6), 0.4, centers,
-                                 source_width=0.3)
-    assert np.max(np.abs(f_pf - f_big)) < 1e-3

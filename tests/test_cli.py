@@ -170,7 +170,7 @@ def test_mapping_bytes_match_per_point_reference(tmp_path, monkeypatch, body):
 def test_non_finite_float_keys_exit_2(tmp_path):
     for experiment, schema in cli._SCHEMAS.items():
         for key, (conv, default) in schema.items():
-            if conv not in (cli._as_float, cli._as_float_list):
+            if conv not in (float, cli._as_float_list):
                 continue
             for bad in ("inf", "-inf", "nan"):
                 val = f"1.0, {bad}" if conv is cli._as_float_list else bad

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cardpath import propagator
+from cardpath.classical_limit import concentration_scan
 from cardpath.errors import (CardpathError, GridMismatch, InvalidParameter,
                              TooLarge, UnboundedPotential)
 from cardpath.lattice import (LagrangianSpec, SpaceGrid, TimeGrid,
@@ -28,12 +29,20 @@ def _small_cfg(lag=None, k=4, sites=7, hbar=1.0, a=-0.3, b=0.4):
                             lag=lag or free_particle(), hbar=hbar, a=a, b=b)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+# on [-1, 1] with 41 sites dx is 0.05, so -1.02 lies 0.4 dx below the grid
+# and snaps to its edge, while 5 and -7 lie far outside it
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                 5.0, -7.0, -1.02])
 def test_config_refuses_bad_hbar_and_endpoints(bad):
-    cfg = _small_cfg()
-    fields = ("hbar",) if math.isfinite(bad) else ("hbar", "a", "b")
-    for field in fields:
+    cfg = _small_cfg(sites=41)
+    half = 0.5 * cfg.space.dx
+    on_grid = -1.0 - half <= bad <= 1.0 + half
+    for field, ok in (("hbar", 0.0 < bad < math.inf), ("a", on_grid),
+                      ("b", on_grid)):
         args = {"hbar": 1.0, "a": 0.0, "b": 0.5, field: bad}
+        if ok:
+            PropagatorConfig(grid=cfg.grid, space=cfg.space, lag=cfg.lag, **args)
+            continue
         with pytest.raises(InvalidParameter) as info:
             PropagatorConfig(grid=cfg.grid, space=cfg.space, lag=cfg.lag, **args)
         assert isinstance(info.value, CardpathError), field
@@ -195,8 +204,6 @@ def test_step_operator_guard_allocates_nothing(monkeypatch):
                                lag=lag, hbar=1.0, a=0.0, b=0.5)
         with pytest.raises(TooLarge):
             propagator.StepOperator(cfg, 1)
-        with pytest.raises(TooLarge):
-            propagator.StepOperator(cfg, 1, phase_free=True)
         with pytest.raises(TooLarge):
             propagate_transfer_matrix(cfg)
 
@@ -419,6 +426,19 @@ def test_probability_is_squared_modulus():
         assert res.probability == v.re * v.re + v.im * v.im
 
 
+def test_results_are_plain_values():
+    # two identical calls return equal results: nothing in a result
+    # depends on how long the call took
+    cfg = _small_cfg(k=3, sites=9)
+    for run in (lambda: propagate_transfer_matrix(cfg),
+                lambda: propagate_transfer_matrix(cfg, source_width=0.3),
+                lambda: propagate_enumerate(cfg),
+                lambda: propagate_monte_carlo_euclidean(cfg, 200, seed=3),
+                lambda: concentration_scan(free_particle(1.0), 1.0, 0.0, 1.0,
+                                           [1.0], 0.2, k=4)):
+        assert run() == run()
+
+
 def test_snap_distances_reported():
     cfg = _small_cfg(k=2, sites=7, a=-0.29, b=0.41)
     res = propagate_transfer_matrix(cfg)
@@ -498,7 +518,8 @@ def test_counting_limit_at_large_hbar():
         k_mod = abs(propagate_transfer_matrix(cfg).value.to_complex())
         psi = np.zeros(x.size, dtype=complex)
         psi[ja] = 1.0 / space.dx
-        Tm = step_matrix(cfg, 1, phase_free=True)
+        n = space.sites
+        Tm = np.full((n, n), abs(cfg.norm_per_step) * space.dx)
         for _ in range(grid.k):
             psi = Tm @ psi
         k_pf = psi[jb].real
