@@ -1,7 +1,7 @@
 """cardpath: lattice path sums over a countable-coordinate point model.
 
 Modules
-  intermediate_set  countable points, unit sets, and their realized images
+  intermediate_set  countable coordinates, unit sets, seeded continuous images
   amplitude         complex amplitude pairs, squared-modulus rule, windings
   lattice           time/space grids, paths, midpoint-rule action
   propagator        pinned kernels: enumeration, transfer matrix, Euclidean MC
@@ -15,10 +15,8 @@ from .classical_limit import (ConcentrationScan, classical_path,
                               concentration_scan,
                               finite_difference_action_gradient)
 from .errors import CardpathError
-from .intermediate_set import (IntermediatePoint, MappingDistribution, UnitSet,
-                               collect_unit_sets, realize_images,
-                               realize_mapping, realize_population,
-                               unit_set_of)
+from .intermediate_set import (MappingDistribution, realize_images,
+                               unit_set_counts)
 from .lattice import (LagrangianSpec, LatticePath, SpaceGrid, TimeGrid,
                       discretized_action, free_particle, harmonic_oscillator,
                       linear_potential, winding_of)
@@ -37,8 +35,7 @@ __all__ = [
     "ConcentrationScan", "classical_path", "concentration_scan",
     "finite_difference_action_gradient",
     "CardpathError",
-    "IntermediatePoint", "MappingDistribution", "UnitSet", "collect_unit_sets",
-    "realize_images", "realize_mapping", "realize_population", "unit_set_of",
+    "MappingDistribution", "realize_images", "unit_set_counts",
     "LagrangianSpec", "LatticePath", "SpaceGrid", "TimeGrid",
     "discretized_action", "free_particle", "harmonic_oscillator",
     "linear_potential", "winding_of",

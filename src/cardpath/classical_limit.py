@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import InvalidParameter, NoConvergence
 from .lattice import (LagrangianSpec, LatticePath, TimeGrid,
                       discretized_action)
 from .propagator import (PropagatorConfig, StepOperator, convergence_recipe,
@@ -37,7 +37,7 @@ def action_gradient(path: LatticePath, lag: LagrangianSpec,
     """Analytic gradient of the midpoint-rule action at the interior sites."""
     r = path.as_array()
     if r.size != grid.k + 1:
-        raise ValueError("path length does not match the time grid")
+        raise InvalidParameter("path length does not match the time grid")
     eps = grid.epsilon
     vp = lag._at_midpoints(lag.v_prime, r, grid)
     kin = lag.mass * (2.0 * r[1:-1] - r[:-2] - r[2:]) / eps
@@ -61,6 +61,7 @@ def finite_difference_action_gradient(path: LatticePath, lag: LagrangianSpec,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float, b: float,
                    tol: float = 1e-10, max_iter: int = 200) -> LatticePath:
     """Stationary point of the lattice action with pinned endpoints.
@@ -68,7 +69,8 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float, b: float,
     Damped Newton iteration on the interior sites; the Hessian of the
     midpoint-rule action is tridiagonal, so each step is a banded solve.
     Starts from the straight line and stops when the max-norm of the
-    gradient falls below tol.
+    gradient falls below tol.  Raises NoConvergence, not a float warning,
+    when the gradient or the Hessian leaves float64 range.
     """
     k = grid.k
     if k == 1:
@@ -94,6 +96,9 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float, b: float,
         if k > 2:
             ab[0, 1:] = off
             ab[2, :-1] = off
+        if not (math.isfinite(gnorm) and np.isfinite(ab).all()):
+            raise NoConvergence("the action's gradient or Hessian is not "
+                                "finite in float64")
         step = solve_banded((1, 1), ab, -g)
         alpha = 1.0
         while alpha > 1e-6:
@@ -129,7 +134,7 @@ class ConcentrationScan:
     def __post_init__(self):
         for f in self.mass_fraction:
             if not (-1e-9 <= f <= 1.0 + 1e-9):
-                raise ValueError(f"mass fraction {f} outside [0, 1]")
+                raise InvalidParameter(f"mass fraction {f} outside [0, 1]")
 
 
 def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
@@ -143,12 +148,12 @@ def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
     has built it already.
     """
     if cfg.lag.time_dependent:
-        raise ValueError("slice fractions need a time-independent potential")
+        raise InvalidParameter("slice fractions need a time-independent potential")
     k = cfg.grid.k
     if k < 2:
-        raise ValueError("need at least one interior slice")
+        raise InvalidParameter("need at least one interior slice")
     if len(centers) != k + 1:
-        raise ValueError("centers must have k + 1 entries")
+        raise InvalidParameter("centers must have k + 1 entries")
     x = cfg.space.points()
     dx = cfg.space.dx
     p = cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import classical_limit as cl_mod
 from .errors import CardpathError, ConfigError, NoConvergence, TooLarge
-from .intermediate_set import MappingDistribution, realize_images
+from .intermediate_set import (MappingDistribution, realize_images,
+                               unit_set_counts)
 from .lattice import SpaceGrid, TimeGrid, free_particle, harmonic_oscillator
 from .oracles import AnalyticKernel, analytic_propagator
 from .propagator import (_DENSE_GUARD, RECIPE_K, PropagatorConfig,
@@ -35,10 +37,12 @@ from .propagator import (_DENSE_GUARD, RECIPE_K, PropagatorConfig,
 _EXPERIMENTS = ("propagator_convergence", "interference",
                 "concentration_scan", "mapping_demo")
 
-# bytes per point that mapping_demo holds at its peak: about 300 measured
-# with tracemalloc at 1e5 and 4e5 points, most of it the 32-bit limb
-# arrays of the seeded draw
+# bytes per point that mapping_demo may hold at its peak.  tracemalloc
+# measures about 75 at 4e5 and 1.2e6 points: scipy's KS test on the images
+# (about 58) next to the coordinates and images (16); the seeded draw and
+# the CSV text live one block at a time.  320 keeps a wide margin.
 _MAPPING_POINT_BYTES = 320
+_CSV_BLOCK = 1 << 16  # rows that _write_csv formats at a time
 
 
 def _as_float_list(v: str) -> tuple:
@@ -194,6 +198,19 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Write header and one row per index of the equal-length columns,
+    each value as {:.17g}, _CSV_BLOCK rows at a time, so that the text of
+    the whole table never exists at once."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    row = ",".join(["{:.17g}"] * len(cols)) + "\n"
+    with path.open("w") as f:
+        f.write(header + "\n")
+        for lo in range(0, cols[0].size, _CSV_BLOCK):
+            block = [c[lo:lo + _CSV_BLOCK].tolist() for c in cols]
+            f.write("".join(itertools.starmap(row.format, zip(*block))))
+
+
 def _say(quiet: bool, msg: str) -> None:
     if not quiet:
         print(msg)
@@ -249,6 +266,9 @@ def run_interference(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
     p = cfg.params
     mass, hbar, T = p["mass"], p["hbar"], p["t_total"]
     d, w, L = p["slit_separation"], p["slit_width"], p["screen_half_width"]
+    if not mass * d > 0:
+        raise ConfigError(f"keys 'mass' and 'slit_separation': their product "
+                          f"underflows to 0 at {mass!r} * {d!r}")
     spacing_pred = 2.0 * math.pi * hbar * T / (mass * d)
     dx_need = min(w / 4.0, spacing_pred / 8.0,
                   math.pi * hbar * T / (2.0 * mass * (L + 0.5 * d + 5.0 * w)))
@@ -279,10 +299,7 @@ def run_interference(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
     spacing_meas = float(np.median(np.diff(x[peaks])))
     rel_dev = abs(spacing_meas - spacing_pred) / spacing_pred
     dt = (time.perf_counter() - t0) * 1e3
-    lines = ["y,intensity"]
-    for yi, ii in zip(x, intensity):
-        lines.append(f"{yi:.17g},{ii:.17g}")
-    (out_dir / "interference.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "interference.csv", "y,intensity", x, intensity)
     record = {
         "experiment": cfg.experiment,
         "config": _config_echo(cfg),
@@ -309,10 +326,8 @@ def run_concentration_scan(cfg: ExperimentConfig, out_dir: Path,
     dt = (time.perf_counter() - t0) * 1e3
     fr = scan.mass_fraction
     nondecreasing = all(fr[i + 1] >= fr[i] - 1e-3 for i in range(len(fr) - 1))
-    lines = ["hbar,m_scale,mass_fraction"]
-    for h, m, f in zip(scan.hbar_values, scan.m_scale, scan.mass_fraction):
-        lines.append(f"{h:.17g},{m:.17g},{f:.17g}")
-    (out_dir / "concentration.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "concentration.csv", "hbar,m_scale,mass_fraction",
+               scan.hbar_values, scan.m_scale, scan.mass_fraction)
     record = {
         "experiment": cfg.experiment,
         "config": _config_echo(cfg),
@@ -362,19 +377,15 @@ def mapping_demo(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
         # An empty population still produces output files; the KS test is
         # undefined so its fields are null in the record.
         ks_stat = ks_pval = None
-    unit_ids, unit_sizes = np.unique(np.floor(ns), return_counts=True)
+    unit_sizes = unit_set_counts(ns)
     dt = (time.perf_counter() - t0) * 1e3
-    lines = ["n,r"]
-    for n, r in zip(ns.tolist(), images.tolist()):
-        lines.append(f"{n:.17g},{r:.17g}")
-    (out_dir / "mapping.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "mapping.csv", "n,r", ns, images)
     record = {
         "experiment": cfg.experiment,
         "config": _config_echo(cfg),
         "ks_statistic": ks_stat,
         "ks_pvalue": ks_pval,
-        "unit_set_counts": {str(int(idx)): size for idx, size
-                            in zip(unit_ids.tolist(), unit_sizes.tolist())},
+        "unit_set_counts": {str(idx): size for idx, size in unit_sizes.items()},
     }
     _write_json(out_dir / "mapping.json", record)
     if ks_stat is None:

@@ -5,10 +5,6 @@ class CardpathError(Exception):
     """Base class for all package-specific errors."""
 
 
-class AlreadyRealized(CardpathError):
-    """A point's continuous image was already drawn and is immutable."""
-
-
 class InvalidDistribution(CardpathError):
     """Density is negative somewhere, does not normalize, or support is empty."""
 

@@ -1,11 +1,12 @@
-"""Points with a reliable countable coordinate and a seeded continuous image.
+"""A population of countable coordinates and their seeded continuous images.
 
-A point carries a real-valued countable coordinate n whose integer part
-names its unit set, plus an optional realized image r.  Realization draws
-r once from an explicit distribution; repeated draws with the same
-(point, distribution, seed) triple replay identically.
+A population is an array of real-valued countable coordinates n.  The
+integer part floor(n) names the unit set of a coordinate, and
+`unit_set_counts` partitions a population by it.  `realize_images` draws
+the continuous image of every n from an explicit distribution; the same
+(n, distribution, seed) triple always gives the same image.
 
-The draw for a point is the uniform
+The draw for a coordinate is the uniform
 
     u = numpy.random.default_rng(SeedSequence(entropy=[seed mod 2**64,
                                                        bits of n])).random()
@@ -13,18 +14,16 @@ The draw for a point is the uniform
 with "bits of n" the IEEE-754 bit pattern of float64(n) read as an
 unsigned integer, mapped through the distribution's inverse CDF.
 `_uniforms` computes that number for a whole array of n in one pass,
-without a SeedSequence or Generator per point, and `realize_images` maps
-a whole array of n to its images without building a point per n.
+without a SeedSequence or Generator per coordinate.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AlreadyRealized, InvalidDistribution
+from .errors import InvalidDistribution, InvalidParameter
 
 _DENSITY_TOL = 1e-9
 _CDF_NODES = 20001
@@ -37,42 +36,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_MULT_LIMBS = tuple((_PCG_MULT >> (32 * i)) & _MASK32 for i in range(4))
-
-
-@dataclass(frozen=True)
-class IntermediatePoint:
-    """Countable coordinate n and, once realized, its continuous image."""
-
-    n: float
-    image: Optional[float] = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.n):
-            raise ValueError("countable coordinate must be finite")
-
-
-@dataclass(frozen=True)
-class UnitSet:
-    """All points sharing one integer countable coordinate."""
-
-    index: int
-    members: tuple[IntermediatePoint, ...]
-
-    def __post_init__(self):
-        for pt in self.members:
-            if unit_set_of(pt) != self.index:
-                raise ValueError(
-                    f"member with n={pt.n} does not belong to unit set {self.index}"
-                )
-
-    @classmethod
-    def _of_bucket(cls, index: int, members: tuple) -> "UnitSet":
-        """A unit set of members already bucketed by index, built without
-        the per-member check, which would floor every n again."""
-        unit = object.__new__(cls)
-        object.__setattr__(unit, "index", index)
-        object.__setattr__(unit, "members", members)
-        return unit
 
 
 class MappingDistribution:
@@ -93,7 +56,6 @@ class MappingDistribution:
         self.lo = float(lo)
         self.hi = float(hi)
         self.atom = atom
-        self.density = density
         if atom is not None:
             if not (lo <= atom <= hi):
                 raise InvalidDistribution("atom lies outside the support")
@@ -255,50 +217,29 @@ def _uniform_block(bits: np.ndarray, seed_words) -> np.ndarray:
     return (x >> 11).astype(np.float64) * 2.0 ** -53
 
 
-def realize_images(ns: np.ndarray, dist: MappingDistribution,
-                   seed: int) -> np.ndarray:
+def _coordinates(ns) -> np.ndarray:
+    """ns as a float64 array; raises InvalidParameter unless every n is
+    finite."""
+    ns = np.asarray(ns, dtype=np.float64)
+    if not np.isfinite(ns).all():
+        raise InvalidParameter("countable coordinates must be finite")
+    return ns
+
+
+def realize_images(ns, dist: MappingDistribution, seed: int) -> np.ndarray:
     """The images of countable coordinates ns under seed, as an array.
 
     Each image depends only on (n, dist, seed), never on the other
-    coordinates or their order.
+    coordinates or their order.  Raises InvalidParameter if any n is not
+    finite.
     """
-    return dist.inverse_cdf(_uniforms(ns, seed))
+    return dist.inverse_cdf(_uniforms(_coordinates(ns), seed))
 
 
-def realize_population(points, dist: MappingDistribution, seed: int):
-    """Realize many points under one seed: realize_images over their
-    coordinates.  Raises AlreadyRealized if any image is already set.
+def unit_set_counts(ns) -> dict[int, int]:
+    """The size of each unit set of the population ns, keyed by its index
+    floor(n), in increasing index order.  Raises InvalidParameter if any n
+    is not finite.
     """
-    points = list(points)
-    for pt in points:
-        if pt.image is not None:
-            raise AlreadyRealized(f"point n={pt.n} already has image {pt.image}")
-    ns = np.fromiter((pt.n for pt in points), dtype=float, count=len(points))
-    images = realize_images(ns, dist, seed).tolist()
-    return [IntermediatePoint(pt.n, r) for pt, r in zip(points, images)]
-
-
-def realize_mapping(point: IntermediatePoint, dist: MappingDistribution,
-                    seed: int) -> IntermediatePoint:
-    """Draw the continuous image of a point, once: the one-point case of
-    realize_population.
-
-    Deterministic: the same (point, dist, seed) triple always yields the
-    same image.  Raises AlreadyRealized if the image is already set.
-    """
-    return realize_population([point], dist, seed)[0]
-
-
-def unit_set_of(point: IntermediatePoint) -> int:
-    """Unit-set index: floor of the countable coordinate."""
-    return math.floor(point.n)
-
-
-def collect_unit_sets(points) -> dict[int, UnitSet]:
-    """Partition a finite population into unit sets keyed by index; each
-    n is floored once, to bucket it."""
-    buckets: dict[int, list[IntermediatePoint]] = {}
-    for pt in points:
-        buckets.setdefault(math.floor(pt.n), []).append(pt)
-    return {idx: UnitSet._of_bucket(idx, tuple(members))
-            for idx, members in sorted(buckets.items())}
+    ids, sizes = np.unique(np.floor(_coordinates(ns)), return_counts=True)
+    return {int(i): size for i, size in zip(ids.tolist(), sizes.tolist())}

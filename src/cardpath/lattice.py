@@ -37,6 +37,9 @@ class TimeGrid:
         if not (math.isfinite(self.t_b - self.t_a) and self.t_b > self.t_a):
             raise InvalidParameter(f"t_a = {self.t_a!r} and t_b = {self.t_b!r} "
                                    "must be finite with t_b > t_a")
+        if not self.epsilon > 0:
+            raise InvalidParameter(f"the step (t_b - t_a) / k underflows to 0 "
+                                   f"at t_b - t_a = {self.duration!r}, k = {self.k}")
 
     @property
     def epsilon(self) -> float:
@@ -91,7 +94,7 @@ class LatticePath:
 
     def __post_init__(self):
         if len(self.sites) < 2:
-            raise ValueError("a path needs at least two sites")
+            raise InvalidParameter("a path needs at least two sites")
 
     @property
     def k(self) -> int:
@@ -147,6 +150,11 @@ def free_particle(mass: float = 1.0) -> LagrangianSpec:
 
 
 def harmonic_oscillator(mass: float = 1.0, omega: float = 1.0) -> LagrangianSpec:
+    # the potential's omega ** 2 raises OverflowError where omega * omega
+    # is inf
+    if not math.isfinite(mass * (omega * omega)):
+        raise InvalidParameter(f"mass * omega**2 must be finite at mass = "
+                               f"{mass!r}, omega = {omega!r}")
     return LagrangianSpec(mass=mass,
                           potential=lambda r, t: 0.5 * mass * omega ** 2 * r * r,
                           potential_deriv=lambda r, t: mass * omega ** 2 * r,
@@ -194,7 +202,7 @@ def path_probability_product(samples: Sequence[WaveSample]) -> float:
     Telescopes to (A_k/A_0)^2 up to floating rounding; windings never enter.
     """
     if len(samples) < 2:
-        raise ValueError("need at least two samples")
+        raise InvalidParameter("need at least two samples")
     prod = 1.0
     for prev, next in zip(samples[:-1], samples[1:]):
         prod *= transition_ratio(prev, next)

@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .amplitude import Amplitude
-from .errors import CausticSingularity, ShootingFailure, TooLarge
+from .errors import (CausticSingularity, InvalidParameter, ShootingFailure,
+                     TooLarge)
 from .lattice import LagrangianSpec, LatticePath, TimeGrid
 
 if TYPE_CHECKING:
@@ -36,11 +37,11 @@ class AnalyticKernel:
 
     def __post_init__(self):
         if self.family not in ("free", "harmonic", "euclidean_free"):
-            raise ValueError(f"unknown kernel family {self.family!r}")
+            raise InvalidParameter(f"unknown kernel family {self.family!r}")
         if self.family == "harmonic" and self.omega is None:
-            raise ValueError("harmonic family requires omega")
+            raise InvalidParameter("harmonic family requires omega")
         if self.T <= 0:
-            raise ValueError("T must be positive")
+            raise InvalidParameter("T must be positive")
 
 
 def _free_quadratic(kernel: AnalyticKernel):
@@ -72,6 +73,9 @@ def _windowed_value(pref, qxx, qyy, qxy, a, b, s, p, hbar) -> complex:
     a22 = 1.0 / (2.0 * s * s) - qyy
     a12 = -qxy / 2.0
     det = a11 * a22 - a12 * a12
+    if det == 0:
+        raise InvalidParameter(
+            f"the window integral's determinant underflows to 0 at width {s!r}")
     b1 = a / (s * s) + 1j * p / hbar
     b2 = b / (s * s) - 1j * p / hbar
     # 0.25 * b^T A^{-1} b for the symmetric 2x2 inverse
@@ -105,10 +109,11 @@ def analytic_propagator(kernel: AnalyticKernel, a: float, b: float,
             z = pref * cmath.exp(qxx * a * a + qyy * b * b + qxy * a * b)
         return Amplitude.from_complex(z)
     if kernel.family == "euclidean_free":
-        raise ValueError("windowed evaluation is defined for free and harmonic only")
+        raise InvalidParameter(
+            "windowed evaluation is defined for free and harmonic only")
     s = float(source_width)
     if s <= 0:
-        raise ValueError("source_width must be positive")
+        raise InvalidParameter("source_width must be positive")
     p = m * (b - a) / T if source_momentum is None else float(source_momentum)
     if kernel.family == "free":
         pref, qxx, qyy, qxy = _free_quadratic(kernel)

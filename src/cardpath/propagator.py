@@ -102,6 +102,10 @@ class PropagatorConfig:
         if not 0 < self.hbar < math.inf:
             raise InvalidParameter(
                 f"hbar = {self.hbar!r} must be positive and finite")
+        # norm_per_step divides by 2 pi i hbar eps
+        if not 2.0 * np.pi * self.hbar * self.grid.epsilon > 0:
+            raise InvalidParameter(f"2 pi hbar eps underflows to 0 at hbar = "
+                                   f"{self.hbar!r}, eps = {self.grid.epsilon!r}")
         # snapping to the nearest site is by design; an endpoint farther
         # than half a spacing off the grid would be clamped to its edge
         half = 0.5 * self.space.dx
@@ -142,14 +146,20 @@ def convergence_recipe(lag: LagrangianSpec, hbar: float, t_total: float,
     it grows like W^2 * k, so k and sites are coupled rather than
     independent knobs.
     """
-    hw = RECIPE_HALF_WIDTH_FACTOR * math.sqrt(hbar * t_total / lag.mass)
+    scale = math.sqrt(hbar * t_total / lag.mass)
+    source_width = RECIPE_SOURCE_WIDTH_FACTOR * scale
+    # then hbar * t_total, and pi * hbar * t_total below, are nonzero too
+    if not source_width > 0:
+        raise InvalidParameter(
+            f"the recipe's window width underflows to 0 at hbar = {hbar!r}, "
+            f"t_total = {t_total!r}, mass = {lag.mass!r}")
+    hw = RECIPE_HALF_WIDTH_FACTOR * scale
     lo, hi = min(a, b) - hw, max(a, b) + hw
     W = hi - lo
     sites = site_count(2.0 * lag.mass * W * W * k * RECIPE_ALIAS_SAFETY
                        / (math.pi * hbar * t_total))
     grid = TimeGrid(0.0, t_total, k)
     space = SpaceGrid(lo, hi, sites)
-    source_width = RECIPE_SOURCE_WIDTH_FACTOR * math.sqrt(hbar * t_total / lag.mass)
     return grid, space, source_width
 
 
@@ -245,14 +255,14 @@ class StepOperator:
 
     The FFT path owns one complex work buffer of the padded length L, and
     apply runs both transforms in it in place (scipy's overwrite_x gives
-    the bits of the out-of-place calls), so a step allocates only its
+    the bits of out-of-place calls), so a step allocates only its
     sites-long result and one operator must not apply two steps at once.
-    L-long temporaries allocated on every step made the step's cost depend
-    on the state of the heap: in a process that had not imported all of
-    scipy they were faulted in afresh, about 290 minor page faults for six
-    recipe kernels, against none with the buffer.  The transform stays scipy.fft, imported at the first build: numpy.fft's
-    fft + ifft gives the same bits but measured 8-14% slower at L =
-    2,000-8,064 (numpy 2.4.6, also with out=).
+    The reused buffer keeps a step's cost independent of the state of the
+    heap, where fresh L-long arrays on every step may be faulted in anew.
+
+    The transform is scipy.fft, imported at the first build: numpy.fft
+    gives the same bits but measured 8-14% slower at L = 2,000-8,064
+    (numpy 2.4.6, also with out=).
 
     Raises TooLarge before allocating anything grid-sized when the FFT
     path's own arrays would exceed _DENSE_GUARD bytes; the dense path is

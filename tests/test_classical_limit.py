@@ -8,8 +8,8 @@ from cardpath.classical_limit import (ConcentrationScan, action_gradient,
                                       finite_difference_action_gradient,
                                       packet_argmax_offset,
                                       slice_tube_fractions)
-from cardpath.errors import NoConvergence
-from cardpath.lattice import (LatticePath, SpaceGrid, TimeGrid,
+from cardpath.errors import CardpathError, NoConvergence
+from cardpath.lattice import (LagrangianSpec, LatticePath, SpaceGrid, TimeGrid,
                               discretized_action, free_particle,
                               harmonic_oscillator, linear_potential)
 from cardpath.oracles import shooting_euler_lagrange
@@ -126,6 +126,30 @@ def test_slice_fractions_input_validation():
     cfg1 = _fixed_cfg(k=1)
     with pytest.raises(ValueError):
         slice_tube_fractions(cfg1, 0.2, [0.0, 1.0], source_width=0.3)
+
+
+def test_bad_arguments_are_cardpath_errors():
+    cfg = _fixed_cfg()
+    td = LagrangianSpec(mass=1.0, potential=lambda r, t: r * t,
+                        time_dependent=True)
+    refusals = [
+        lambda: action_gradient(LatticePath((0.0, 1.0)), cfg.lag, cfg.grid),
+        lambda: slice_tube_fractions(cfg, 0.2, [0.0, 1.0], source_width=0.3),
+        lambda: slice_tube_fractions(_fixed_cfg(k=1), 0.2, [0.0, 1.0],
+                                     source_width=0.3),
+        lambda: slice_tube_fractions(
+            PropagatorConfig(grid=cfg.grid, space=cfg.space, lag=td, hbar=1.0,
+                             a=0.0, b=1.0),
+            0.2, np.linspace(0.0, 1.0, 7), source_width=0.3),
+        lambda: ConcentrationScan(hbar_values=(1.0,), delta=0.1,
+                                  mass_fraction=(1.5,),
+                                  classical_path=LatticePath((0.0, 1.0)),
+                                  m_scale=(1.0,), argmax_offset=(0.0,),
+                                  dx_values=(0.1,)),
+    ]
+    for refuse in refusals:
+        with pytest.raises(CardpathError):
+            refuse()
 
 
 def test_concentration_scan_small():

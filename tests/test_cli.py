@@ -167,6 +167,20 @@ def test_mapping_bytes_match_per_point_reference(tmp_path, monkeypatch, body):
                 == (tmp_path / "ref" / name).read_bytes()), name
 
 
+@pytest.mark.parametrize("rows", [0, 1, 11])
+def test_write_csv_bytes_match_joined_rows(tmp_path, monkeypatch, rows):
+    # blocks of 4 rows: 11 rows take three blocks, the last one short
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
+    vals = [0.1, -2.5, 5e-324, 1e300, 3.0, -0.0, 1 / 3, 2.0 ** 53, 7e-5,
+            -1.7976931348623157e308, 123456.789][:rows]
+    ys = np.array(vals) * 0.5
+    zs = tuple(-v for v in vals)
+    cli._write_csv(tmp_path / "t.csv", "x,y,z", vals, ys, zs)
+    want = ["x,y,z"] + [f"{x:.17g},{y:.17g},{z:.17g}"
+                        for x, y, z in zip(vals, ys.tolist(), zs)]
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+
+
 def test_non_finite_float_keys_exit_2(tmp_path):
     for experiment, schema in cli._SCHEMAS.items():
         for key, (conv, default) in schema.items():
@@ -225,6 +239,27 @@ def test_overflowing_site_counts_exit_3(tmp_path, monkeypatch, capsys, text):
     cfgf = _write(tmp_path, "big.cfg", text)
     assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = propagator_convergence\nfamily = harmonic\nomega = 1e200\n",
+    "experiment = propagator_convergence\nhbar = 1e-10\nt_total = 1e-320\n",
+    "experiment = propagator_convergence\nfamily = harmonic\n"
+    "t_total = 5e-324\nb = 1e-320\n",
+    "experiment = propagator_convergence\nmass = 1e-150\nhbar = 1e150\nk = 3\n",
+    "experiment = propagator_convergence\nmass = 5e-324\nhbar = 5e-324\n",
+    "experiment = interference\nmass = 5e-324\nslit_separation = 1e-10\n"
+    "sites = 3\n",
+    "experiment = concentration_scan\nfamily = harmonic\nmass = 1e300\n"
+    "t_total = 1e300\n",
+])
+def test_products_out_of_float_range_are_refused(tmp_path, capsys, text):
+    # omega ** 2 overflows; hbar * t_total, the time step, the oracle's
+    # window determinant, 2 pi hbar eps and mass * slit_separation
+    # underflow to 0; the Newton Hessian overflows
+    cfgf = _write(tmp_path, "x.cfg", text)
+    assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) in (2, 3)
+    assert capsys.readouterr().err.startswith("cardpath: ")
 
 
 def _untouchable(*args, **kwargs):

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -5,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardpath.errors import AlreadyRealized, InvalidDistribution
-from cardpath.intermediate_set import (IntermediatePoint, MappingDistribution,
-                                       UnitSet, _uniforms, collect_unit_sets,
-                                       realize_mapping, realize_population,
-                                       unit_set_of)
+from cardpath.errors import (CardpathError, InvalidDistribution,
+                             InvalidParameter)
+from cardpath.intermediate_set import (MappingDistribution, _uniforms,
+                                       realize_images, unit_set_counts)
 
 EDGE_NS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
            0.5, 1.0, 3.25, -7.0, 1e6, -1e6, 1e300, -1.7976931348623157e308]
@@ -25,10 +25,14 @@ def reference_uniform(n: float, seed: int) -> float:
 
 
 def test_point_requires_finite_coordinate():
-    with pytest.raises(ValueError):
-        IntermediatePoint(n=float("nan"))
-    with pytest.raises(ValueError):
-        IntermediatePoint(n=float("inf"))
+    dist = MappingDistribution.uniform(0.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for refuse in (lambda ns: realize_images(ns, dist, seed=0),
+                       unit_set_counts):
+            with pytest.raises(InvalidParameter) as info:
+                refuse(np.array([0.5, bad, 2.0]))
+            assert isinstance(info.value, CardpathError)
+            assert isinstance(info.value, ValueError)
 
 
 def test_vectorized_draw_matches_numpy_on_edge_cases():
@@ -47,65 +51,54 @@ def test_vectorized_draw_matches_numpy_property(ns, seed):
     assert np.array_equal(_uniforms(np.array(ns), seed), want)
 
 
-def test_realize_mapping_is_the_one_point_case():
+def test_realize_images_matches_per_point_reference():
     # a non-uniform density also checks that the array inverse CDF of the
     # population gives the bits of the scalar one of a single point
     dist = MappingDistribution.from_density(0.0, 1.0, lambda r: 2.0 * r)
-    pts = [IntermediatePoint(n=n) for n in EDGE_NS + [0.25 * i for i in range(40)]]
+    ns = np.array(EDGE_NS + [0.25 * i for i in range(40)])
     for seed in (0, 7, 2 ** 64 - 1):
-        population = realize_population(pts, dist, seed)
-        for pt, got in zip(pts, population):
-            assert got.n == pt.n
-            assert realize_mapping(pt, dist, seed).image == got.image
-            assert got.image == float(dist.inverse_cdf(reference_uniform(pt.n, seed)))
-
-
-def test_realize_population_refuses_realized_points():
-    dist = MappingDistribution.uniform(0.0, 1.0)
-    done = realize_mapping(IntermediatePoint(n=2.0), dist, seed=1)
-    with pytest.raises(AlreadyRealized):
-        realize_population([IntermediatePoint(n=1.0), done], dist, seed=1)
+        images = realize_images(ns, dist, seed)
+        for n, got in zip(ns, images):
+            assert got == float(dist.inverse_cdf(reference_uniform(n, seed)))
+            assert realize_images(np.array([n]), dist, seed)[0] == got
 
 
 def test_realize_is_deterministic_and_one_shot():
-    pt = IntermediatePoint(n=3.25)
+    ns = np.array([3.25])
     dist = MappingDistribution.uniform(0.0, 1.0)
-    r1 = realize_mapping(pt, dist, seed=42)
-    r2 = realize_mapping(pt, dist, seed=42)
-    assert r1.image == r2.image
-    assert 0.0 <= r1.image <= 1.0
-    with pytest.raises(AlreadyRealized):
-        realize_mapping(r1, dist, seed=42)
+    r1 = realize_images(ns, dist, seed=42)
+    r2 = realize_images(ns, dist, seed=42)
+    assert np.array_equal(r1, r2)
+    assert 0.0 <= r1[0] <= 1.0
 
 
 def test_distinct_points_draw_independently():
     dist = MappingDistribution.uniform(0.0, 1.0)
-    images = [realize_mapping(IntermediatePoint(n=float(i)), dist, seed=0).image
-              for i in range(50)]
-    assert len(set(images)) == 50
+    images = realize_images(np.arange(50.0), dist, seed=0)
+    assert len(set(images.tolist())) == 50
 
 
 def test_realization_order_does_not_matter():
     dist = MappingDistribution.uniform(-2.0, 5.0)
-    pts = [IntermediatePoint(n=0.5 * i) for i in range(20)]
-    fwd = realize_population(pts, dist, seed=9)
-    rev = realize_population(list(reversed(pts)), dist, seed=9)
-    assert {p.n: p.image for p in fwd} == {p.n: p.image for p in rev}
+    ns = 0.5 * np.arange(20)
+    fwd = realize_images(ns, dist, seed=9)
+    rev = realize_images(ns[::-1], dist, seed=9)
+    assert np.array_equal(fwd, rev[::-1])
 
 
 def test_seed_changes_the_draw():
-    pt = IntermediatePoint(n=1.0)
+    ns = np.array([1.0])
     dist = MappingDistribution.uniform(0.0, 1.0)
-    a = realize_mapping(pt, dist, seed=1).image
-    b = realize_mapping(pt, dist, seed=2).image
-    assert a != b
+    assert realize_images(ns, dist, seed=1)[0] != realize_images(ns, dist, seed=2)[0]
 
 
 def test_point_mass_distribution_is_degenerate():
     dist = MappingDistribution.point_mass(0.75)
-    imgs = {realize_mapping(IntermediatePoint(n=float(i)), dist, seed=i).image
+    imgs = {realize_images(np.array([float(i)]), dist, seed=i)[0]
             for i in range(10)}
     assert imgs == {0.75}
+    assert np.array_equal(realize_images(np.arange(10.0), dist, seed=3),
+                          np.full(10, 0.75))
 
 
 def test_uniform_samples_match_uniform_law():
@@ -147,44 +140,22 @@ def test_support_width_must_be_finite():
 
 
 def test_unit_set_index_is_floor():
-    assert unit_set_of(IntermediatePoint(n=3.7)) == 3
-    assert unit_set_of(IntermediatePoint(n=-0.2)) == -1
-    assert unit_set_of(IntermediatePoint(n=5.0)) == 5
+    assert unit_set_counts(np.array([3.7])) == {3: 1}
+    assert unit_set_counts(np.array([-0.2])) == {-1: 1}
+    assert unit_set_counts(np.array([5.0])) == {5: 1}
+    assert unit_set_counts(np.array([-0.0])) == {0: 1}
+    assert unit_set_counts(np.empty(0)) == {}
 
 
-def test_unit_set_membership_validated():
-    good = IntermediatePoint(n=2.5)
-    with pytest.raises(ValueError):
-        UnitSet(index=3, members=(good,))
-
-
-def test_collect_unit_sets_partitions():
-    pts = [IntermediatePoint(n=0.1 * i) for i in range(40)]
-    sets = collect_unit_sets(pts)
-    assert sorted(sets) == [0, 1, 2, 3]
-    total = sum(len(us.members) for us in sets.values())
-    assert total == 40
-    for idx, us in sets.items():
-        assert all(math.floor(m.n) == idx for m in us.members)
-
-
-def test_collect_unit_sets_floors_each_n_once():
-    floors = []
-
-    class Counted(float):
-        def __floor__(self):
-            floors.append(float(self))
-            return math.floor(float(self))
-
-    pts = [IntermediatePoint(n=Counted(0.37 * i - 3.0)) for i in range(30)]
-    sets = collect_unit_sets(pts)
-    assert sorted(floors) == sorted(float(pt.n) for pt in pts)
-    # the same sets as the checked constructor builds, in the same order
-    for idx, us in sets.items():
-        assert us == UnitSet(idx, us.members)
-    assert list(sets) == sorted(sets)
-    assert [pt for us in sets.values() for pt in us.members] == sorted(
-        pts, key=lambda pt: math.floor(float(pt.n)))
+def test_unit_set_counts_partitions():
+    ns = np.concatenate([0.1 * np.arange(40), 0.37 * np.arange(30) - 3.0,
+                         [-1.0, -0.5, -1e6 - 0.5]])
+    counts = unit_set_counts(ns)
+    assert counts == collections.Counter(math.floor(n) for n in ns.tolist())
+    assert list(counts) == sorted(counts)
+    assert all(type(idx) is int and type(size) is int
+               for idx, size in counts.items())
+    assert sum(counts.values()) == ns.size
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -192,8 +163,7 @@ def test_collect_unit_sets_floors_each_n_once():
 @settings(max_examples=60, deadline=None)
 def test_realize_replay_property(n, seed):
     dist = MappingDistribution.uniform(0.0, 1.0)
-    pt = IntermediatePoint(n=n)
-    a = realize_mapping(pt, dist, seed=seed)
-    b = realize_mapping(pt, dist, seed=seed)
-    assert a.image == b.image
-    assert unit_set_of(pt) == math.floor(n)
+    a = realize_images(np.array([n]), dist, seed=seed)
+    b = realize_images(np.array([n]), dist, seed=seed)
+    assert np.array_equal(a, b)
+    assert unit_set_counts(np.array([n])) == {math.floor(n): 1}

@@ -71,6 +71,11 @@ def test_grids_refuse_non_positive_or_fractional_sizes():
     _refused(lambda: SpaceGrid(1.0, -1.0, 5))
 
 
+def test_paths_and_products_refuse_fewer_than_two_entries():
+    _refused(lambda: LatticePath((0.0,)))
+    _refused(lambda: path_probability_product([WaveSample(1.0, 0.0)]))
+
+
 def test_space_grid_nearest_index_clips():
     grid = SpaceGrid(-1.0, 1.0, 5)
     assert grid.dx == 0.5

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cardpath.errors import CausticSingularity, ShootingFailure, TooLarge
+from cardpath.errors import (CardpathError, CausticSingularity, ShootingFailure,
+                             TooLarge)
 from cardpath.lattice import (LagrangianSpec, SpaceGrid, TimeGrid,
                               free_particle, harmonic_oscillator,
                               linear_potential)
@@ -114,6 +115,18 @@ def test_windowed_rejects_bad_width_and_euclidean():
     eu = AnalyticKernel("euclidean_free", 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         analytic_propagator(eu, 0.0, 1.0, source_width=0.3)
+
+
+def test_bad_kernels_and_windows_are_cardpath_errors():
+    free = AnalyticKernel("free", 1.0, 1.0, 1.0)
+    eu = AnalyticKernel("euclidean_free", 1.0, 1.0, 1.0)
+    for refuse in (lambda: AnalyticKernel("harmonic", 1.0, 1.0, 1.0),
+                   lambda: AnalyticKernel("airy", 1.0, 1.0, 1.0),
+                   lambda: AnalyticKernel("free", 1.0, 1.0, 0.0),
+                   lambda: analytic_propagator(free, 0.0, 1.0, source_width=-0.1),
+                   lambda: analytic_propagator(eu, 0.0, 1.0, source_width=0.3)):
+        with pytest.raises(CardpathError):
+            refuse()
 
 
 def test_euclidean_harmonic_approaches_euclidean_free():
