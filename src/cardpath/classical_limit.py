@@ -21,15 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParameter, NoConvergence
 from .lattice import (LagrangianSpec, LatticePath, TimeGrid,
                       discretized_action)
-from .propagator import (PropagatorConfig, StepOperator, convergence_recipe,
-                         gaussian_window, sweep)
+from .propagator import (PropagatorConfig, Sweep, convergence_recipe,
+                         gaussian_window)
+
+_NEWTON_TOL = 1e-10  # max-norm of the action gradient at a stationary path
+_NEWTON_ITERATIONS = 200
 
 
 def action_gradient(path: LatticePath, lag: LagrangianSpec,
@@ -62,15 +65,15 @@ def finite_difference_action_gradient(path: LatticePath, lag: LagrangianSpec,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float, b: float,
-                   tol: float = 1e-10, max_iter: int = 200) -> LatticePath:
+def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float,
+                   b: float) -> LatticePath:
     """Stationary point of the lattice action with pinned endpoints.
 
     Damped Newton iteration on the interior sites; the Hessian of the
     midpoint-rule action is tridiagonal, so each step is a banded solve.
     Starts from the straight line and stops when the max-norm of the
-    gradient falls below tol.  Raises NoConvergence, not a float warning,
-    when the gradient or the Hessian leaves float64 range.
+    gradient falls below _NEWTON_TOL.  Raises NoConvergence, not a float
+    warning, when the gradient or the Hessian leaves float64 range.
     """
     k = grid.k
     if k == 1:
@@ -83,10 +86,10 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float, b: float,
 
     eps = grid.epsilon
     r = np.linspace(a, b, k + 1)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERATIONS):
         g = action_gradient(LatticePath(tuple(r)), lag, grid)
         gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol:
+        if gnorm <= _NEWTON_TOL:
             return LatticePath(tuple(r))
         vpp = lag._at_midpoints(v_second, r, grid)
         diag = 2.0 * lag.mass / eps - 0.25 * eps * (vpp[:-1] + vpp[1:])
@@ -111,7 +114,7 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float, b: float,
             alpha *= 0.5
         else:
             raise NoConvergence("Newton step failed to reduce the action gradient")
-    raise NoConvergence(f"gradient still above {tol:g} after {max_iter} iterations")
+    raise NoConvergence(f"no stationary path in {_NEWTON_ITERATIONS} Newton iterations")
 
 
 @dataclass(frozen=True)
@@ -137,16 +140,17 @@ class ConcentrationScan:
                 raise InvalidParameter(f"mass fraction {f} outside [0, 1]")
 
 
-def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
-                         centers: Sequence[float], source_width: float,
-                         step: Optional[StepOperator] = None) -> np.ndarray:
-    """Per-slice tube fractions f_1 .. f_{k-1} of the windowed path sum.
+def slice_tube_fractions(evolve: Sweep, delta: float,
+                         centers: Sequence[float],
+                         source_width: float) -> np.ndarray:
+    """Per-slice tube fractions f_1 .. f_{k-1} of the windowed path sum of
+    evolve.cfg, from one forward and one backward call of evolve.
 
     centers must hold the k+1 slice positions of the reference path.
-    Time-independent potentials only (one step operator, reused forward
-    and backward); step may pass in StepOperator(cfg, 1) when the caller
-    has built it already.
+    Time-independent potentials only: the backward sweep applies the same
+    steps as the forward one.
     """
+    cfg = evolve.cfg
     if cfg.lag.time_dependent:
         raise InvalidParameter("slice fractions need a time-independent potential")
     k = cfg.grid.k
@@ -159,10 +163,8 @@ def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
     p = cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration
     wa = gaussian_window(x, cfg.a, source_width, p, cfg.hbar)
     wb = gaussian_window(x, cfg.b, source_width, p, cfg.hbar)
-    if step is None:
-        step = StepOperator(cfg, 1)
-    fwd = sweep(cfg, wa, step, keep=True)
-    bwd = sweep(cfg, np.conj(wb), step, keep=True)
+    fwd = evolve(wa, keep=True)
+    bwd = evolve(np.conj(wb), keep=True)
     fracs = np.empty(k - 1)
     for i in range(1, k):
         beta = np.abs(fwd[i] * bwd[k - i]) * dx
@@ -172,32 +174,27 @@ def slice_tube_fractions(cfg: PropagatorConfig, delta: float,
     return fracs
 
 
-def packet_argmax_offset(cfg: PropagatorConfig, target: float,
-                         step: Optional[StepOperator] = None,
-                         path: Optional[LatticePath] = None) -> float:
-    """Distance (in grid units of length) from the propagated packet's
-    peak-probability site to the target position.
+def packet_argmax_offset(evolve: Sweep, path: LatticePath) -> float:
+    """Distance (in grid units of length) from b to the peak-probability
+    site of the packet that evolve propagates.
 
     The initial packet is a Gaussian of width sqrt(hbar*T/(2*mass)) at a,
     boosted by the lattice momentum at a of the stationary path from a to b,
 
         p0 = mass * (r_1 - r_0) / eps + (eps / 2) * V'((r_0 + r_1) / 2, t_{1/2}),
 
-    so that it heads for b under any potential.  path and step may pass in
-    that stationary path and the operator StepOperator(cfg, 1) when the
-    caller has them already.
+    so that it heads for b under any potential; path is that stationary path.
     """
-    if path is None:
-        path = classical_path(cfg.lag, cfg.grid, cfg.a, cfg.b)
+    cfg = evolve.cfg
     eps = cfg.grid.epsilon
     r0, r1 = path.sites[0], path.sites[1]
     p0 = cfg.lag.mass * (r1 - r0) / eps + 0.5 * eps * float(
         cfg.lag.v_prime(0.5 * (r0 + r1), cfg.grid.t_a + 0.5 * eps))
     x = cfg.space.points()
     sigma = math.sqrt(cfg.hbar * cfg.grid.duration / (2.0 * cfg.lag.mass))
-    psi = sweep(cfg, gaussian_window(x, cfg.a, sigma, p0, cfg.hbar), step)
+    psi = evolve(gaussian_window(x, cfg.a, sigma, p0, cfg.hbar))
     amax = int(np.argmax(np.abs(psi) ** 2))
-    return abs(float(x[amax]) - target)
+    return abs(float(x[amax]) - cfg.b)
 
 
 def concentration_scan(lag: LagrangianSpec, t_total: float, a: float, b: float,
@@ -206,9 +203,8 @@ def concentration_scan(lag: LagrangianSpec, t_total: float, a: float, b: float,
     """Sweep hbar and record how sharply the path sum hugs the classical path.
 
     For each hbar the grid and window come from `convergence_recipe` (the
-    alias-safe site count changes with hbar).  Each hbar builds one step
-    operator, shared by the forward and backward slice sweeps and the
-    packet sweep.
+    alias-safe site count changes with hbar).  Each hbar builds one Sweep,
+    shared by the forward and backward slice sweeps and the packet sweep.
     """
     grid = TimeGrid(0.0, t_total, k)
     hbars = tuple(float(h) for h in hbar_values)
@@ -222,10 +218,9 @@ def concentration_scan(lag: LagrangianSpec, t_total: float, a: float, b: float,
     rows = []
     for hbar, (sp, sw) in zip(hbars, windows):
         cfg = PropagatorConfig(grid=grid, space=sp, lag=lag, hbar=hbar, a=a, b=b)
-        step = StepOperator(cfg, 1)
-        frac = float(np.mean(slice_tube_fractions(cfg, delta, centers, sw,
-                                                  step=step)))
-        off = packet_argmax_offset(cfg, b, step=step, path=cl)
+        evolve = Sweep(cfg)
+        frac = float(np.mean(slice_tube_fractions(evolve, delta, centers, sw)))
+        off = packet_argmax_offset(evolve, cl)
         rows.append((frac, off, sp.dx))
     return ConcentrationScan(
         hbar_values=hbars, delta=delta,

@@ -30,9 +30,9 @@ from .intermediate_set import (MappingDistribution, realize_images,
                                unit_set_counts)
 from .lattice import SpaceGrid, TimeGrid, free_particle, harmonic_oscillator
 from .oracles import AnalyticKernel, analytic_propagator
-from .propagator import (_DENSE_GUARD, RECIPE_K, PropagatorConfig,
-                         StepOperator, convergence_recipe, gaussian_window,
-                         propagate_transfer_matrix, site_count, sweep)
+from .propagator import (_DENSE_GUARD, RECIPE_K, PropagatorConfig, Sweep,
+                         convergence_recipe, gaussian_window,
+                         propagate_transfer_matrix, site_count)
 
 _EXPERIMENTS = ("propagator_convergence", "interference",
                 "concentration_scan", "mapping_demo")
@@ -284,11 +284,10 @@ def run_interference(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
     pcfg = PropagatorConfig(grid=grid, space=space, lag=free_particle(mass),
                             hbar=hbar, a=-0.5 * d, b=0.5 * d)
     t0 = time.perf_counter()
-    step = StepOperator(pcfg, 1)  # size guard before any grid-sized array
+    evolve = Sweep(pcfg)  # size guard before any grid-sized array
     x = space.points()
-    src = (gaussian_window(x, -0.5 * d, w, 0.0, hbar)
-           + gaussian_window(x, 0.5 * d, w, 0.0, hbar))
-    psi = sweep(pcfg, src, step)
+    psi = evolve(gaussian_window(x, -0.5 * d, w, 0.0, hbar)
+                 + gaussian_window(x, 0.5 * d, w, 0.0, hbar))
     intensity = np.abs(psi) ** 2
     thr = 0.02 * intensity.max()
     interior = (intensity[1:-1] > intensity[:-2]) \

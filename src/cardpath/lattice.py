@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -33,6 +34,9 @@ class TimeGrid:
     def __post_init__(self):
         if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
             raise InvalidParameter(f"k = {self.k!r} must be a positive integer")
+        # compared while still an int: float(k) overflows past this
+        if self.k > sys.float_info.max:
+            raise InvalidParameter("k is beyond float64 range")
         # the duration is finite only when both endpoints are
         if not (math.isfinite(self.t_b - self.t_a) and self.t_b > self.t_a):
             raise InvalidParameter(f"t_a = {self.t_a!r} and t_b = {self.t_b!r} "

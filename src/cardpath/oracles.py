@@ -15,14 +15,16 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .amplitude import Amplitude
-from .errors import (CausticSingularity, InvalidParameter, ShootingFailure,
-                     TooLarge)
+from .errors import (CausticSingularity, InvalidParameter, NoConvergence,
+                     ShootingFailure, TooLarge)
 from .lattice import LagrangianSpec, LatticePath, TimeGrid
 
 if TYPE_CHECKING:
     from .propagator import PropagatorConfig
 
 _NAIVE_GUARD = 10 ** 5
+_SHOOT_SUBSTEPS = 8  # RK4 sub-intervals per grid step
+_SHOOT_TOL = 1e-9  # |r(t_b) - b| at which bisection stops
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,9 @@ def analytic_propagator(kernel: AnalyticKernel, a: float, b: float,
     width s it is the matrix element <w_b| K |w_a> between unit-weight
     Gaussian windows of width s carrying momentum source_momentum
     (default: the classical momentum mass*(b-a)/T), which is the object
-    the lattice engine converges to.
+    the lattice engine converges to.  Raises NoConvergence when a free or
+    harmonic value underflows to exactly 0, where no relative error can be
+    formed; a Euclidean tail that underflows to 0 is the rounded density.
     """
     m, hb, T = kernel.mass, kernel.hbar, kernel.T
     if source_width is None:
@@ -107,19 +111,22 @@ def analytic_propagator(kernel: AnalyticKernel, a: float, b: float,
         else:
             pref, qxx, qyy, qxy = _harmonic_quadratic(kernel)
             z = pref * cmath.exp(qxx * a * a + qyy * b * b + qxy * a * b)
-        return Amplitude.from_complex(z)
-    if kernel.family == "euclidean_free":
+    elif kernel.family == "euclidean_free":
         raise InvalidParameter(
             "windowed evaluation is defined for free and harmonic only")
-    s = float(source_width)
-    if s <= 0:
-        raise InvalidParameter("source_width must be positive")
-    p = m * (b - a) / T if source_momentum is None else float(source_momentum)
-    if kernel.family == "free":
-        pref, qxx, qyy, qxy = _free_quadratic(kernel)
     else:
-        pref, qxx, qyy, qxy = _harmonic_quadratic(kernel)
-    return Amplitude.from_complex(_windowed_value(pref, qxx, qyy, qxy, a, b, s, p, hb))
+        s = float(source_width)
+        if s <= 0:
+            raise InvalidParameter("source_width must be positive")
+        p = m * (b - a) / T if source_momentum is None else float(source_momentum)
+        if kernel.family == "free":
+            pref, qxx, qyy, qxy = _free_quadratic(kernel)
+        else:
+            pref, qxx, qyy, qxy = _harmonic_quadratic(kernel)
+        z = _windowed_value(pref, qxx, qyy, qxy, a, b, s, p, hb)
+    if z == 0 and kernel.family != "euclidean_free":
+        raise NoConvergence(f"the {kernel.family} kernel underflows to 0")
+    return Amplitude.from_complex(z)
 
 
 def euclidean_harmonic_kernel(mass: float, omega: float, hbar: float,
@@ -133,15 +140,14 @@ def euclidean_harmonic_kernel(mass: float, omega: float, hbar: float,
 
 
 def shooting_euler_lagrange(lag: LagrangianSpec, a: float, b: float,
-                            grid: TimeGrid, substeps: int = 8,
-                            tol: float = 1e-9) -> LatticePath:
+                            grid: TimeGrid) -> LatticePath:
     """Solve mass * r'' = -V'(r, t) with r(t_a)=a, shooting on r'(t_a).
 
-    RK4 integration with `substeps` sub-intervals per grid step; bisection
-    on the initial velocity until |r(t_b) - b| <= tol.
+    RK4 integration with _SHOOT_SUBSTEPS sub-intervals per grid step;
+    bisection on the initial velocity until |r(t_b) - b| <= _SHOOT_TOL.
     """
     eps = grid.epsilon
-    dt = eps / substeps
+    dt = eps / _SHOOT_SUBSTEPS
 
     def accel(r, t):
         return -float(lag.v_prime(np.asarray([r]), t)[0]) / lag.mass
@@ -151,7 +157,7 @@ def shooting_euler_lagrange(lag: LagrangianSpec, a: float, b: float,
         t = grid.t_a
         rec = [r]
         for i in range(grid.k):
-            for _ in range(substeps):
+            for _ in range(_SHOOT_SUBSTEPS):
                 k1r, k1v = v, accel(r, t)
                 k2r, k2v = v + 0.5 * dt * k1v, accel(r + 0.5 * dt * k1r, t + 0.5 * dt)
                 k3r, k3v = v + 0.5 * dt * k2v, accel(r + 0.5 * dt * k2r, t + 0.5 * dt)
@@ -181,7 +187,7 @@ def shooting_euler_lagrange(lag: LagrangianSpec, a: float, b: float,
     for _ in range(200):
         v_mid = 0.5 * (v_lo + v_hi)
         f_mid = miss(v_mid)
-        if abs(f_mid) <= tol:
+        if abs(f_mid) <= _SHOOT_TOL:
             break
         if f_lo * f_mid <= 0:
             v_hi, f_hi = v_mid, f_mid

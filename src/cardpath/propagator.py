@@ -10,15 +10,16 @@ kernel reproduces the continuum kernel.  The k-step pinned sum is
 which the transfer matrix evaluates by sweeping the one-step kernel
 matrix T[j', j] = norm * dx * e^{i S_step / hbar}.
 
-Cost.  On the uniform grid the kinetic phase of T depends only on j' - j
-and the midpoint potential only on j + j'.  When V is quadratic on the
-grid (free, linear, harmonic, or any potential that is quadratic in r at
-each step's midpoint time) the step factors exactly as D * Toeplitz * D
-and `StepOperator` applies it by FFT through circulant embedding, in
-O(k * sites log sites) time and about 128 * sites bytes, under the same
-size guard as the dense matrix.  Otherwise it applies
-the dense matrix, built from 3*sites exponentials, with BLAS: O(k *
-sites^2) time and 16 * sites^2 bytes, capped by a size guard.
+Cost.  `Sweep(cfg)` applies the k steps.  On the uniform grid the kinetic
+phase of T depends only on j' - j and the midpoint potential only on
+j + j'.  When V is quadratic on the grid (free, linear, harmonic, or any
+potential that is quadratic in r at each step's midpoint time) a step
+factors exactly as D * Toeplitz * D and is applied with scipy.fft by
+circulant embedding: O(sites log sites) time and about 128 * sites bytes.
+Otherwise a step is the dense matrix, built from 3*sites exponentials and
+applied with BLAS: O(sites^2) time and 16 * sites^2 bytes.  A Sweep builds
+step 1 when it is made, under one size guard for both, and reuses it for
+every step when V is time-independent.
 
 Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
 It evaluates V on about (k-2) * sites^2 site pairs, once per step, and
@@ -156,9 +157,9 @@ def convergence_recipe(lag: LagrangianSpec, hbar: float, t_total: float,
     hw = RECIPE_HALF_WIDTH_FACTOR * scale
     lo, hi = min(a, b) - hw, max(a, b) + hw
     W = hi - lo
+    grid = TimeGrid(0.0, t_total, k)  # refuses a k beyond float range
     sites = site_count(2.0 * lag.mass * W * W * k * RECIPE_ALIAS_SAFETY
                        / (math.pi * hbar * t_total))
-    grid = TimeGrid(0.0, t_total, k)
     space = SpaceGrid(lo, hi, sites)
     return grid, space, source_width
 
@@ -237,57 +238,61 @@ def _quadratic_fit(r: np.ndarray, v: np.ndarray, phase_per_v: float):
     return c0, c1, c2
 
 
-class StepOperator:
-    """Step i of the sweep: psi -> T psi with T = step_matrix(cfg, i).
+def _step(cfg: PropagatorConfig, step_index: int):
+    """Step i of cfg: step @ psi is T psi, a new array, for T =
+    step_matrix(cfg, i).  An _FftStep when V at the 2*sites - 1 midpoints
+    is c0 + c1 r + c2 r^2, and the dense matrix itself otherwise.
 
-    Built once per (config, step index); how a step is applied is chosen
-    from the potential at the 2*sites - 1 midpoints.  When V there is
-    c0 + c1 r + c2 r^2, the midpoint-rule step factors exactly as
+    Raises TooLarge before V is evaluated when even the FFT step's arrays
+    at their least padded length would exceed _DENSE_GUARD bytes.
+    """
+    n = cfg.space.sites
+    nbytes = _fft_bytes(n, 2 * n - 1)
+    if nbytes > _DENSE_GUARD:
+        raise TooLarge(f"a {n}-site step operator needs {nbytes} bytes, "
+                       f"over the {_DENSE_GUARD}-byte guard")
+    fit = _quadratic_fit(*_midpoint_potential(cfg, step_index),
+                         cfg.grid.epsilon / cfg.hbar)
+    if fit is None:
+        return step_matrix(cfg, step_index)
+    return _FftStep(cfg, *fit)
+
+
+class _FftStep:
+    """The step for V = c0 + c1 r + c2 r^2 at the midpoints, which factors
+    exactly as
 
         T[j', j] = scale * D(x_j') * g(x_j' - x_j) * D(x_j),
         g(d) = e^{i (m/(2 eps) + eps c2/4) d^2 / hbar},
         D(x) = e^{-i eps (c2 x^2/2 + c1 x/2) / hbar},
         scale = norm * dx * e^{-i eps c0 / hbar},
 
-    and the Toeplitz product with g is an FFT by circulant embedding, with
-    no sites x sites array.  Any other potential, including one that is not
-    finite somewhere on the grid, applies the dense step_matrix with BLAS.
+    so that the Toeplitz product with g is an FFT by circulant embedding,
+    with no sites x sites array.
 
-    The FFT path owns one complex work buffer of the padded length L, and
-    apply runs both transforms in it in place (scipy's overwrite_x gives
-    the bits of out-of-place calls), so a step allocates only its
-    sites-long result and one operator must not apply two steps at once.
-    The reused buffer keeps a step's cost independent of the state of the
-    heap, where fresh L-long arrays on every step may be faulted in anew.
+    It owns one complex work buffer of the padded length L, and @ runs
+    both transforms in it in place (scipy's overwrite_x gives the bits of
+    out-of-place calls), so a step allocates only its sites-long result and
+    one step must not be applied twice at once.  The reused buffer keeps a
+    step's cost independent of the state of the heap, where fresh L-long
+    arrays on every step may be faulted in anew.
 
-    The transform is scipy.fft, imported at the first build: numpy.fft
-    gives the same bits but measured 8-14% slower at L = 2,000-8,064
-    (numpy 2.4.6, also with out=).
-
-    Raises TooLarge before allocating anything grid-sized when the FFT
-    path's own arrays would exceed _DENSE_GUARD bytes; the dense path is
-    then larger still.
+    The transform is scipy.fft, imported here, so that a run with dense
+    steps only loads no scipy: numpy.fft gives the same bits but measured
+    8-14% slower at L = 2,000-8,064 (numpy 2.4.6, also with out=).  Raises
+    TooLarge, before allocating, when the arrays at the padded length
+    would exceed _DENSE_GUARD bytes.
     """
 
-    def __init__(self, cfg: PropagatorConfig, step_index: int = 1):
+    def __init__(self, cfg: PropagatorConfig, c0, c1, c2):
+        import scipy.fft
         n = cfg.space.sites
-        # the arrays at their least padded length first, so that
-        # next_fast_len only ever sees a site count the guard allows
-        nbytes = _fft_bytes(n, 2 * n - 1)
-        if nbytes <= _DENSE_GUARD:
-            import scipy.fft
-            size = scipy.fft.next_fast_len(2 * n - 1)
-            nbytes = _fft_bytes(n, size)
+        size = scipy.fft.next_fast_len(2 * n - 1)
+        nbytes = _fft_bytes(n, size)
         if nbytes > _DENSE_GUARD:
             raise TooLarge(f"a {n}-site step operator needs {nbytes} bytes, "
                            f"over the {_DENSE_GUARD}-byte guard")
         eps, hbar = cfg.grid.epsilon, cfg.hbar
-        self._matrix = None
-        fit = _quadratic_fit(*_midpoint_potential(cfg, step_index), eps / hbar)
-        if fit is None:
-            self._matrix = step_matrix(cfg, step_index)
-            return
-        c0, c1, c2 = fit
         chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
         self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft
         g = np.zeros(size, dtype=complex)
@@ -301,10 +306,7 @@ class StepOperator:
         scale = cfg.norm_per_step * cfg.space.dx
         self._d_out = scale * np.exp(-1j * eps * c0 / hbar) * self._d_in
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """T psi for a vector psi over the grid sites, as a new array."""
-        if self._matrix is not None:
-            return self._matrix @ psi
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
         n, w = self._d_in.size, self._work
         np.multiply(self._d_in, psi, out=w[:n])
         w[n:] = 0.0
@@ -314,26 +316,30 @@ class StepOperator:
         return self._d_out * w[:n]
 
 
-def sweep(cfg: PropagatorConfig, psi: np.ndarray,
-          step: Optional[StepOperator] = None, keep: bool = False):
-    """psi after the k steps of cfg, T_k ... T_1 psi; with keep=True the
-    list psi_0 .. psi_k.
+class Sweep:
+    """The k steps of cfg as one operator, psi -> T_k ... T_1 psi.
 
-    A time-independent potential builds one StepOperator for the sweep and
-    a time-dependent one builds one per step.  A given step must be
-    StepOperator(cfg, 1): it serves step 1, and every step when the
-    potential is time-independent, so that several sweeps of one
-    configuration share one build.
+    Building it builds step 1, so the size guard refuses a grid before the
+    caller makes anything grid-sized.  A time-independent potential reuses
+    that build for every step of every call, so that the sweeps of one
+    configuration share it; a time-dependent one builds step i at step i.
     """
-    rebuild = cfg.lag.time_dependent
-    states = [psi]
-    for i in range(1, cfg.grid.k + 1):
-        if step is None or (rebuild and i > 1):
-            step = StepOperator(cfg, i)
-        psi = step.apply(psi)
-        if keep:
-            states.append(psi)
-    return states if keep else psi
+
+    def __init__(self, cfg: PropagatorConfig):
+        self.cfg = cfg
+        self._first = _step(cfg, 1)
+
+    def __call__(self, psi: np.ndarray, keep: bool = False):
+        """psi after the k steps; with keep=True the list psi_0 .. psi_k."""
+        step = self._first
+        states = [psi]
+        for i in range(1, self.cfg.grid.k + 1):
+            if i > 1 and self.cfg.lag.time_dependent:
+                step = _step(self.cfg, i)
+            psi = step @ psi
+            if keep:
+                states.append(psi)
+        return states if keep else psi
 
 
 def gaussian_window(x: np.ndarray, center: float, width: float,
@@ -358,41 +364,23 @@ def propagate_transfer_matrix(cfg: PropagatorConfig,
     `convergence_recipe` grids; compare against
     oracles.analytic_propagator(..., source_width=s).
     """
+    evolve = Sweep(cfg)  # size guard before any grid-sized array
     momentum = cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration
-    psi = transfer_matrix_vector(cfg, cfg.a, source_width, momentum)
     x = cfg.space.points()
     ja = cfg.space.nearest_index(cfg.a)
     jb = cfg.space.nearest_index(cfg.b)
     if source_width is None:
-        value = complex(psi[jb])
+        psi = np.zeros(cfg.space.sites, dtype=complex)
+        psi[ja] = 1.0 / cfg.space.dx
+        value = complex(evolve(psi)[jb])
     else:
+        psi = evolve(gaussian_window(x, cfg.a, source_width, momentum, cfg.hbar))
         wb = gaussian_window(x, cfg.b, source_width, momentum, cfg.hbar)
         value = complex((np.conj(wb) * psi).sum() * cfg.space.dx)
     return PropagatorResult(
         value=Amplitude.from_complex(value), method="transfer_matrix",
         k=cfg.grid.k, sites=cfg.space.sites,
         snap_a=abs(x[ja] - cfg.a), snap_b=abs(x[jb] - cfg.b))
-
-
-def transfer_matrix_vector(cfg: PropagatorConfig, start: float,
-                           source_width: Optional[float] = None,
-                           source_momentum: float = 0.0) -> np.ndarray:
-    """Vector of kernel values K(x_j, start) over the whole grid.
-
-    source_width=None starts from delta_start / dx at the nearest site;
-    a width s starts from the Gaussian window of width s at start with
-    momentum boost source_momentum.  With the symmetric step matrix this
-    also serves as K(start, x_j), which is how composition over an
-    intermediate time slice is checked.
-    """
-    step = StepOperator(cfg, 1)  # size guard before any grid-sized array
-    if source_width is None:
-        psi = np.zeros(cfg.space.sites, dtype=complex)
-        psi[cfg.space.nearest_index(start)] = 1.0 / cfg.space.dx
-    else:
-        psi = gaussian_window(cfg.space.points(), start, source_width,
-                              source_momentum, cfg.hbar)
-    return sweep(cfg, psi, step)
 
 
 def compose(kernel_from_a: np.ndarray, kernel_to_b: np.ndarray, dx: float) -> Amplitude:

@@ -21,12 +21,11 @@ from cardpath.lattice import (LatticePath, SpaceGrid, TimeGrid,
 from cardpath.oracles import (AnalyticKernel, analytic_propagator,
                               euclidean_harmonic_kernel,
                               shooting_euler_lagrange)
-from cardpath.propagator import (PropagatorConfig, compose,
+from cardpath.propagator import (PropagatorConfig, Sweep, compose,
                                  convergence_recipe, gaussian_window,
                                  propagate_enumerate,
                                  propagate_monte_carlo_euclidean,
-                                 propagate_transfer_matrix, step_matrix,
-                                 transfer_matrix_vector)
+                                 propagate_transfer_matrix, step_matrix)
 
 
 def _report(num: int, desc: str, ok: bool, detail: str):
@@ -214,9 +213,8 @@ def test_criterion_10_kernel_composition():
     cfg_half = PropagatorConfig(grid=half, space=space, lag=lag, hbar=hbar,
                                 a=a, b=b)
     p = lag.mass * (b - a) / T
-    from_a = transfer_matrix_vector(cfg_half, a, source_width=sw,
-                                    source_momentum=p)
     x = space.points()
+    from_a = Sweep(cfg_half)(gaussian_window(x, a, sw, p, hbar))
     chi = np.conj(gaussian_window(x, b, sw, p, hbar))
     Tm = step_matrix(cfg_half, 1)
     for _ in range(half.k):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cardpath import classical_limit
 from cardpath.classical_limit import (ConcentrationScan, action_gradient,
                                       classical_path, concentration_scan,
                                       finite_difference_action_gradient,
@@ -13,7 +14,7 @@ from cardpath.lattice import (LagrangianSpec, LatticePath, SpaceGrid, TimeGrid,
                               discretized_action, free_particle,
                               harmonic_oscillator, linear_potential)
 from cardpath.oracles import shooting_euler_lagrange
-from cardpath.propagator import (PropagatorConfig, convergence_recipe,
+from cardpath.propagator import (PropagatorConfig, Sweep, convergence_recipe,
                                  gaussian_window, propagate_transfer_matrix,
                                  step_matrix)
 
@@ -51,10 +52,11 @@ def test_newton_agrees_with_shooting_solver():
     assert np.max(np.abs(newt.as_array() - shot.as_array())) < 1e-3
 
 
-def test_newton_no_convergence_when_starved():
+def test_newton_no_convergence_when_starved(monkeypatch):
+    monkeypatch.setattr(classical_limit, "_NEWTON_ITERATIONS", 0)
     grid = TimeGrid(0.0, 1.0, 8)
     with pytest.raises(NoConvergence):
-        classical_path(harmonic_oscillator(1.0, 1.0), grid, 0.0, 1.0, max_iter=0)
+        classical_path(harmonic_oscillator(1.0, 1.0), grid, 0.0, 1.0)
 
 
 def test_fd_gradient_matches_analytic_on_generic_path():
@@ -85,11 +87,11 @@ def _fixed_cfg(k=6, sites=241):
 
 
 def test_slice_fractions_are_fractions_and_grow_with_delta():
-    cfg = _fixed_cfg()
+    evolve = Sweep(_fixed_cfg())
     centers = np.linspace(0.0, 1.0, 7)
     prev = None
     for delta in (0.1, 0.3, 1.0, 10.0):
-        f = slice_tube_fractions(cfg, delta, centers, source_width=0.3)
+        f = slice_tube_fractions(evolve, delta, centers, source_width=0.3)
         assert np.all(f >= 0.0) and np.all(f <= 1.0)
         if prev is not None:
             assert np.all(f >= prev - 1e-12)
@@ -120,12 +122,12 @@ def test_slice_decomposition_sums_to_kernel_everywhere():
 
 
 def test_slice_fractions_input_validation():
-    cfg = _fixed_cfg()
     with pytest.raises(ValueError):
-        slice_tube_fractions(cfg, 0.2, [0.0, 1.0], source_width=0.3)
-    cfg1 = _fixed_cfg(k=1)
+        slice_tube_fractions(Sweep(_fixed_cfg()), 0.2, [0.0, 1.0],
+                             source_width=0.3)
     with pytest.raises(ValueError):
-        slice_tube_fractions(cfg1, 0.2, [0.0, 1.0], source_width=0.3)
+        slice_tube_fractions(Sweep(_fixed_cfg(k=1)), 0.2, [0.0, 1.0],
+                             source_width=0.3)
 
 
 def test_bad_arguments_are_cardpath_errors():
@@ -134,12 +136,13 @@ def test_bad_arguments_are_cardpath_errors():
                         time_dependent=True)
     refusals = [
         lambda: action_gradient(LatticePath((0.0, 1.0)), cfg.lag, cfg.grid),
-        lambda: slice_tube_fractions(cfg, 0.2, [0.0, 1.0], source_width=0.3),
-        lambda: slice_tube_fractions(_fixed_cfg(k=1), 0.2, [0.0, 1.0],
+        lambda: slice_tube_fractions(Sweep(cfg), 0.2, [0.0, 1.0],
+                                     source_width=0.3),
+        lambda: slice_tube_fractions(Sweep(_fixed_cfg(k=1)), 0.2, [0.0, 1.0],
                                      source_width=0.3),
         lambda: slice_tube_fractions(
-            PropagatorConfig(grid=cfg.grid, space=cfg.space, lag=td, hbar=1.0,
-                             a=0.0, b=1.0),
+            Sweep(PropagatorConfig(grid=cfg.grid, space=cfg.space, lag=td,
+                                   hbar=1.0, a=0.0, b=1.0)),
             0.2, np.linspace(0.0, 1.0, 7), source_width=0.3),
         lambda: ConcentrationScan(hbar_values=(1.0,), delta=0.1,
                                   mass_fraction=(1.5,),
@@ -193,6 +196,7 @@ def test_packet_lands_on_target():
         grid, space, _ = convergence_recipe(lag, hbar, 1.0, 0.0, 1.0, k=k)
         cfg = PropagatorConfig(grid=grid, space=space, lag=lag, hbar=hbar,
                                a=0.0, b=1.0)
-        off = packet_argmax_offset(cfg, 1.0)
+        path = classical_path(lag, grid, 0.0, 1.0)
+        off = packet_argmax_offset(Sweep(cfg), path)
         assert off <= 2.0 * space.dx, lag.label
 

@@ -208,15 +208,25 @@ def test_oversized_grids_exit_3_before_allocating(tmp_path, monkeypatch):
 
 
 def test_import_loads_no_scipy():
-    # nor concurrent.futures, which the sampling pool imports when it runs
-    code = ("import sys, cardpath, cardpath.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-            " or m.startswith('concurrent.futures')))")
+    # nor concurrent.futures, which the sampling pool imports when it runs;
+    # a sweep of dense steps only (a quartic potential) loads neither
+    quartic = (
+        "from cardpath.lattice import LagrangianSpec, SpaceGrid, TimeGrid\n"
+        "from cardpath.propagator import PropagatorConfig, "
+        "propagate_transfer_matrix\n"
+        "lag = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4)\n"
+        "propagate_transfer_matrix(PropagatorConfig(\n"
+        "    grid=TimeGrid(0.0, 1.0, 4), space=SpaceGrid(-2.0, 2.0, 60),\n"
+        "    lag=lag, hbar=1.0, a=0.0, b=0.5), source_width=0.4)\n")
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for run_code in ("", quartic):
+        code = ("import sys, cardpath, cardpath.cli\n" + run_code +
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                " or m.startswith('concurrent.futures')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]", run_code
 
 
 @pytest.mark.parametrize("text", [
@@ -228,10 +238,13 @@ def test_import_loads_no_scipy():
     "experiment = interference\nhbar = 1e-300\n",
     "experiment = interference\nhbar = 1e-320\n",
     "experiment = interference\nslit_width = 5e-324\n",
+    "experiment = propagator_convergence\nk = 1" + "0" * 400 + "\n",
+    "experiment = concentration_scan\nk = 1" + "0" * 400 + "\n",
 ])
 def test_overflowing_site_counts_exit_3(tmp_path, monkeypatch, capsys, text):
     # the site count is infinite or far over the guard as a float; it is
-    # refused before it becomes an int and before any grid array is made
+    # refused before it becomes an int and before any grid array is made.
+    # A k beyond float range is refused by the time grid while still an int
     def untouchable(*args):
         raise AssertionError("grid-sized work before the size guard")
 
@@ -252,11 +265,14 @@ def test_overflowing_site_counts_exit_3(tmp_path, monkeypatch, capsys, text):
     "sites = 3\n",
     "experiment = concentration_scan\nfamily = harmonic\nmass = 1e300\n"
     "t_total = 1e300\n",
+    "experiment = propagator_convergence\nfamily = harmonic\nomega = 1e-150\n"
+    "t_total = 1e300\nb = -1e-10\nk = 4\n",
 ])
 def test_products_out_of_float_range_are_refused(tmp_path, capsys, text):
     # omega ** 2 overflows; hbar * t_total, the time step, the oracle's
     # window determinant, 2 pi hbar eps and mass * slit_separation
-    # underflow to 0; the Newton Hessian overflows
+    # underflow to 0; the Newton Hessian overflows; the harmonic oracle
+    # underflows to 0
     cfgf = _write(tmp_path, "x.cfg", text)
     assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) in (2, 3)
     assert capsys.readouterr().err.startswith("cardpath: ")

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from cardpath import propagator
-from cardpath.classical_limit import concentration_scan
+from cardpath.classical_limit import (classical_path, concentration_scan,
+                                      packet_argmax_offset,
+                                      slice_tube_fractions)
 from cardpath.errors import (CardpathError, GridMismatch, InvalidParameter,
                              TooLarge, UnboundedPotential)
 from cardpath.lattice import (LagrangianSpec, SpaceGrid, TimeGrid,
@@ -15,12 +17,12 @@ from cardpath.lattice import (LagrangianSpec, SpaceGrid, TimeGrid,
                               linear_potential)
 from cardpath.oracles import (AnalyticKernel, analytic_propagator,
                               euclidean_harmonic_kernel, naive_enumeration)
-from cardpath.propagator import (PropagatorConfig, StepOperator, compose,
+from cardpath.propagator import (PropagatorConfig, Sweep, compose,
                                  convergence_recipe, gaussian_window,
                                  propagate_enumerate,
                                  propagate_monte_carlo_euclidean,
                                  propagate_transfer_matrix, site_count,
-                                 step_matrix, sweep, transfer_matrix_vector)
+                                 step_matrix)
 
 
 def _small_cfg(lag=None, k=4, sites=7, hbar=1.0, a=-0.3, b=0.4):
@@ -173,7 +175,7 @@ def test_fft_step_matches_dense_sweep(monkeypatch):
         else:
             psi = gaussian_window(x, float(rng.uniform(lo, hi)), 0.3,
                                   float(rng.uniform(-2.0, 2.0)), cfg.hbar)
-        got = sweep(cfg, psi)
+        got = Sweep(cfg)(psi)
         assert not builds, "a quadratic potential built a dense matrix"
         want = _dense_sweep(cfg, psi)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), trial
@@ -187,7 +189,7 @@ def test_non_quadratic_potentials_take_the_dense_path(monkeypatch):
         cfg = _small_cfg(lag, k=4, sites=40)
         psi = gaussian_window(cfg.space.points(), 0.0, 0.3, 0.5, 1.0)
         builds.clear()
-        assert np.array_equal(sweep(cfg, psi), _dense_sweep(cfg, psi))
+        assert np.array_equal(Sweep(cfg)(psi), _dense_sweep(cfg, psi))
         assert len(builds) == 1
 
 
@@ -203,7 +205,7 @@ def test_step_operator_guard_allocates_nothing(monkeypatch):
                                space=SpaceGrid(-1.0, 1.0, 20_000_000),
                                lag=lag, hbar=1.0, a=0.0, b=0.5)
         with pytest.raises(TooLarge):
-            propagator.StepOperator(cfg, 1)
+            Sweep(cfg)
         with pytest.raises(TooLarge):
             propagate_transfer_matrix(cfg)
 
@@ -221,41 +223,87 @@ def test_fft_apply_bits_match_out_of_place_formula():
         for sites in (2, 37, 500, 2986):
             cfg = _small_cfg(lag, k=3, sites=sites)
             for i in (1, 3):
-                op = StepOperator(cfg, i)
-                assert op._matrix is None
+                op = propagator._step(cfg, i)
+                assert isinstance(op, propagator._FftStep)
                 psi = rng.standard_normal(sites) + 1j * rng.standard_normal(sites)
                 n, size = sites, op._work.size
                 want = op._d_out * scipy.fft.ifft(
                     scipy.fft.fft(op._d_in * psi, size) * op._g_hat)[:n]
-                assert np.array_equal(op.apply(psi), want), (lag.label, sites, i)
+                assert np.array_equal(op @ psi, want), (lag.label, sites, i)
                 # the buffer's padding is cleared on every call
-                assert np.array_equal(op.apply(psi), want)
+                assert np.array_equal(op @ psi, want)
 
 
 def test_sweep_keep_returns_distinct_arrays():
     for lag in _quadratic_lags()[:2]:
         cfg = _small_cfg(lag, k=5, sites=64)
-        step = StepOperator(cfg, 1)
+        evolve = Sweep(cfg)
         psi = gaussian_window(cfg.space.points(), 0.0, 0.3, 0.5, 1.0)
-        states = sweep(cfg, psi, step, keep=True)
+        states = evolve(psi, keep=True)
         assert len(states) == cfg.grid.k + 1
         for j, s in enumerate(states):
-            assert not np.shares_memory(s, step._work)
+            assert not np.shares_memory(s, evolve._first._work)
             for t in states[j + 1:]:
                 assert not np.shares_memory(s, t)
-        assert np.array_equal(states[-1], sweep(cfg, psi, step))
+        assert np.array_equal(states[-1], evolve(psi))
+
+
+def _count_steps(monkeypatch):
+    steps = []
+    build = propagator._step
+
+    def counted(cfg, step_index):
+        steps.append(step_index)
+        return build(cfg, step_index)
+
+    monkeypatch.setattr(propagator, "_step", counted)
+    return steps
+
+
+def test_time_independent_sweep_builds_once(monkeypatch):
+    # the forward and backward slice sweeps and the packet sweep of one
+    # configuration share the one build that the Sweep made
+    steps = _count_steps(monkeypatch)
+    quartic = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4)
+    for lag in (free_particle(), quartic):
+        cfg = _small_cfg(lag, k=6, sites=64, a=0.0, b=0.5)
+        path = classical_path(lag, cfg.grid, cfg.a, cfg.b)
+        steps.clear()
+        evolve = Sweep(cfg)
+        slice_tube_fractions(evolve, 0.2, path.as_array(), source_width=0.3)
+        packet_argmax_offset(evolve, path)
+        assert steps == [1], lag.label
+    steps.clear()
+    concentration_scan(free_particle(), 1.0, 0.0, 1.0, [1.0, 0.5], 0.2, k=4)
+    assert steps == [1, 1]
+
+
+def test_time_dependent_sweep_builds_every_step(monkeypatch):
+    # step 1 is the build the Sweep made; steps 2 .. k are built per call
+    steps = _count_steps(monkeypatch)
+    td = _quadratic_lags()[2]
+    cfg = _small_cfg(td, k=4, sites=40)
+    psi = gaussian_window(cfg.space.points(), 0.0, 0.3, 0.5, 1.0)
+    evolve = Sweep(cfg)
+    assert steps == [1]
+    first = evolve(psi)
+    assert steps == [1, 2, 3, 4]
+    assert np.array_equal(evolve(psi), first)
+    assert steps == [1, 2, 3, 4, 2, 3, 4]
+    want = _dense_sweep(cfg, psi)
+    assert np.max(np.abs(first - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fft_apply_allocates_no_padded_temporary():
     import tracemalloc
     cfg = _small_cfg(harmonic_oscillator(1.0, 1.0), k=2, sites=3000)
-    op = StepOperator(cfg, 1)
+    op = propagator._step(cfg, 1)
     psi = gaussian_window(cfg.space.points(), 0.0, 0.3, 0.5, 1.0)
-    op.apply(psi)  # first call: anything scipy sets up once per length
+    op @ psi  # first call: anything scipy sets up once per length
     tracemalloc.start()
     try:
         for _ in range(3):
-            op.apply(psi)
+            op @ psi
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -539,13 +587,10 @@ def test_composition_identity():
     cfg_half = PropagatorConfig(grid=half, space=space, lag=lag, hbar=hbar,
                                 a=a, b=b)
     p = lag.mass * (b - a) / T
-    from_a = transfer_matrix_vector(cfg_half, a, source_width=sw,
-                                    source_momentum=p)
-    to_b = transfer_matrix_vector(cfg_half, b, source_width=sw,
-                                  source_momentum=p)
+    x = space.points()
+    from_a = Sweep(cfg_half)(gaussian_window(x, a, sw, p, hbar))
     # sink window enters conjugated, and T is symmetric, so the "to b" run
     # starts from the conjugate window
-    x = space.points()
     wb = gaussian_window(x, b, sw, p, hbar)
     chi = np.conj(wb)
     Tm = step_matrix(cfg_half, 1)
