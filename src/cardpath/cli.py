@@ -9,7 +9,9 @@ concentration_scan, mapping_demo.
 Output files (JSON, CSV) are byte-identical across reruns with the same
 seed; timing is only ever printed to stdout, never written to the files.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error, 3 numerical failure, which
+includes a result that is not finite: it is refused before any file is
+written.
 """
 from __future__ import annotations
 
@@ -25,13 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import classical_limit as cl_mod
-from .errors import CardpathError, ConfigError, NoConvergence, TooLarge
+from .errors import CardpathError, ConfigError, NoConvergence
 from .intermediate_set import (MappingDistribution, realize_images,
                                unit_set_counts)
 from .lattice import SpaceGrid, TimeGrid, free_particle, harmonic_oscillator
 from .oracles import AnalyticKernel, analytic_propagator
-from .propagator import (_DENSE_GUARD, RECIPE_K, PropagatorConfig, Sweep,
-                         convergence_recipe, gaussian_window,
+from .propagator import (RECIPE_K, PropagatorConfig, Sweep, convergence_recipe,
+                         gaussian_window, guard_bytes,
                          propagate_transfer_matrix, site_count)
 
 _EXPERIMENTS = ("propagator_convergence", "interference",
@@ -194,10 +196,6 @@ def _validate(experiment: str, p: dict):
                  "units * count must be below 2**53")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 def _write_csv(path: Path, header: str, *columns) -> None:
     """Write header and one row per index of the equal-length columns,
     each value as {:.17g}, _CSV_BLOCK rows at a time, so that the text of
@@ -211,43 +209,30 @@ def _write_csv(path: Path, header: str, *columns) -> None:
             f.write("".join(itertools.starmap(row.format, zip(*block))))
 
 
-def _say(quiet: bool, msg: str) -> None:
-    if not quiet:
-        print(msg)
-
-
 def _lag_of(p: dict):
     if p.get("family", "free") == "harmonic":
         return harmonic_oscillator(mass=p["mass"], omega=p["omega"])
     return free_particle(mass=p["mass"])
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {"experiment": cfg.experiment, "seed": cfg.seed}
-    for key, val in cfg.params.items():
-        echo[key] = list(val) if isinstance(val, tuple) else val
-    return echo
+# Each runner takes (params, seed) and returns (stem, record, table,
+# summary): the output file stem, the JSON record without its experiment
+# and config header, None or a CSV table (header, *columns), and a line
+# for stdout.  run times, writes and reports them.
 
-
-def run_propagator_convergence(cfg: ExperimentConfig, out_dir: Path,
-                               quiet: bool) -> None:
-    p = cfg.params
+def run_propagator_convergence(p: dict, seed: int):
     lag = _lag_of(p)
     grid, space, sw = convergence_recipe(lag, p["hbar"], p["t_total"],
                                          p["a"], p["b"], k=p["k"])
     pcfg = PropagatorConfig(grid=grid, space=space, lag=lag,
                             hbar=p["hbar"], a=p["a"], b=p["b"])
-    t0 = time.perf_counter()
     res = propagate_transfer_matrix(pcfg, source_width=sw)
     kernel = AnalyticKernel(family=p["family"], mass=p["mass"], hbar=p["hbar"],
                             T=p["t_total"],
                             omega=p["omega"] if p["family"] == "harmonic" else None)
     oracle = analytic_propagator(kernel, p["a"], p["b"], source_width=sw).to_complex()
     rel = abs(res.value.to_complex() - oracle) / abs(oracle)
-    dt = (time.perf_counter() - t0) * 1e3
     record = {
-        "experiment": cfg.experiment,
-        "config": _config_echo(cfg),
         "grid": {"k": grid.k, "sites": space.sites, "dx": space.dx,
                  "lo": space.lo, "hi": space.hi, "source_width": sw},
         "result": {"method": res.method, "k": res.k, "sites": res.sites,
@@ -255,15 +240,13 @@ def run_propagator_convergence(cfg: ExperimentConfig, out_dir: Path,
         "oracle": {"re": oracle.real, "im": oracle.imag},
         "rel_error": rel,
     }
-    _write_json(out_dir / "convergence.json", record)
-    _say(quiet, f"propagator_convergence[{p['family']}]: rel_error={rel:.3e} "
-         f"k={grid.k} sites={space.sites} ({dt:.0f} ms)")
-    _say(quiet, f"  wrote {out_dir / 'convergence.json'}")
+    return "convergence", record, None, (
+        f"propagator_convergence[{p['family']}]: rel_error={rel:.3e} "
+        f"k={grid.k} sites={space.sites}")
 
 
-def run_interference(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
+def run_interference(p: dict, seed: int):
     """Two Gaussian slits, one exact step to the screen, fringe readout."""
-    p = cfg.params
     mass, hbar, T = p["mass"], p["hbar"], p["t_total"]
     d, w, L = p["slit_separation"], p["slit_width"], p["screen_half_width"]
     if not mass * d > 0:
@@ -283,7 +266,6 @@ def run_interference(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
     grid = TimeGrid(0.0, T, 1)
     pcfg = PropagatorConfig(grid=grid, space=space, lag=free_particle(mass),
                             hbar=hbar, a=-0.5 * d, b=0.5 * d)
-    t0 = time.perf_counter()
     evolve = Sweep(pcfg)  # size guard before any grid-sized array
     x = space.points()
     psi = evolve(gaussian_window(x, -0.5 * d, w, 0.0, hbar)
@@ -297,11 +279,7 @@ def run_interference(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
         raise NoConvergence("fewer than two fringe maxima on the screen")
     spacing_meas = float(np.median(np.diff(x[peaks])))
     rel_dev = abs(spacing_meas - spacing_pred) / spacing_pred
-    dt = (time.perf_counter() - t0) * 1e3
-    _write_csv(out_dir / "interference.csv", "y,intensity", x, intensity)
     record = {
-        "experiment": cfg.experiment,
-        "config": _config_echo(cfg),
         "sites": sites,
         "dx": space.dx,
         "predicted_spacing": spacing_pred,
@@ -309,90 +287,67 @@ def run_interference(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
         "rel_deviation": rel_dev,
         "n_maxima": int(peaks.size),
     }
-    _write_json(out_dir / "interference.json", record)
-    _say(quiet, f"interference: spacing {spacing_meas:.4f} vs predicted "
-         f"{spacing_pred:.4f} (dev {rel_dev:.2%}, {peaks.size} maxima, {dt:.0f} ms)")
-    _say(quiet, f"  wrote {out_dir / 'interference.json'}, {out_dir / 'interference.csv'}")
+    return "interference", record, ("y,intensity", x, intensity), (
+        f"interference: spacing {spacing_meas:.4f} vs predicted "
+        f"{spacing_pred:.4f} (dev {rel_dev:.2%}, {peaks.size} maxima)")
 
 
-def run_concentration_scan(cfg: ExperimentConfig, out_dir: Path,
-                           quiet: bool) -> None:
-    p = cfg.params
-    lag = _lag_of(p)
-    t0 = time.perf_counter()
-    scan = cl_mod.concentration_scan(lag, p["t_total"], p["a"], p["b"],
+def run_concentration_scan(p: dict, seed: int):
+    scan = cl_mod.concentration_scan(_lag_of(p), p["t_total"], p["a"], p["b"],
                                      p["hbar_values"], p["delta"], k=p["k"])
-    dt = (time.perf_counter() - t0) * 1e3
     fr = scan.mass_fraction
     nondecreasing = all(fr[i + 1] >= fr[i] - 1e-3 for i in range(len(fr) - 1))
-    _write_csv(out_dir / "concentration.csv", "hbar,m_scale,mass_fraction",
-               scan.hbar_values, scan.m_scale, scan.mass_fraction)
     record = {
-        "experiment": cfg.experiment,
-        "config": _config_echo(cfg),
         "hbar_values": list(scan.hbar_values),
         "m_scale": list(scan.m_scale),
-        "mass_fraction": list(scan.mass_fraction),
+        "mass_fraction": list(fr),
         "argmax_offset": list(scan.argmax_offset),
         "dx": list(scan.dx_values),
         "classical_path": list(scan.classical_path.sites),
         "nondecreasing": nondecreasing,
     }
-    _write_json(out_dir / "concentration.json", record)
+    table = ("hbar,m_scale,mass_fraction", scan.hbar_values, scan.m_scale, fr)
     frac_str = ", ".join(f"{f:.3f}" for f in fr)
-    _say(quiet, f"concentration_scan: fractions [{frac_str}] "
-         f"nondecreasing={nondecreasing} ({dt:.0f} ms)")
-    _say(quiet, f"  wrote {out_dir / 'concentration.json'}, {out_dir / 'concentration.csv'}")
+    return "concentration", record, table, (
+        f"concentration_scan: fractions [{frac_str}] "
+        f"nondecreasing={nondecreasing}")
 
 
-def mapping_demo(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> None:
+def mapping_demo(p: dict, seed: int):
     """Realize a population of points under a uniform mapping and report
     how uniform the realized coordinates look (KS statistic).
 
     The countable coordinates are spread over `units` unit sets so the
     partition is visible in the output; the realized images are checked
     against the target distribution.  Raises TooLarge, before any
-    population-sized array exists, when its arrays would exceed
-    _DENSE_GUARD bytes at their peak.
+    population-sized array exists, when its arrays would exceed the size
+    guard at their peak.
     """
-    p = cfg.params
     count, units = p["count"], p["units"]
-    nbytes = count * _MAPPING_POINT_BYTES
-    if nbytes > _DENSE_GUARD:
-        raise TooLarge(f"{count} points need about {nbytes} bytes, "
-                       f"over the {_DENSE_GUARD}-byte guard")
+    guard_bytes(count * _MAPPING_POINT_BYTES, f"a population of {count} points")
     from scipy import stats
 
     dist = MappingDistribution.uniform(p["lo"], p["hi"])
-    t0 = time.perf_counter()
     # the bits of units * i / count: _validate keeps units * count below 2**53
     ns = np.arange(count) * units / count if count else np.empty(0)
-    images = realize_images(ns, dist, cfg.seed)
+    images = realize_images(ns, dist, seed)
     if count:
         ks = stats.kstest(images, stats.uniform(loc=p["lo"],
                                                 scale=p["hi"] - p["lo"]).cdf)
         ks_stat, ks_pval = float(ks.statistic), float(ks.pvalue)
+        summary = f"mapping_demo: {count} points, KS={ks_stat:.4f} (p={ks_pval:.3f})"
     else:
         # An empty population still produces output files; the KS test is
         # undefined so its fields are null in the record.
         ks_stat = ks_pval = None
-    unit_sizes = unit_set_counts(ns)
-    dt = (time.perf_counter() - t0) * 1e3
-    _write_csv(out_dir / "mapping.csv", "n,r", ns, images)
+        summary = "mapping_demo: 0 points, KS skipped"
     record = {
-        "experiment": cfg.experiment,
-        "config": _config_echo(cfg),
         "ks_statistic": ks_stat,
         "ks_pvalue": ks_pval,
-        "unit_set_counts": {str(idx): size for idx, size in unit_sizes.items()},
+        "unit_set_counts": {str(idx): size
+                            for idx, size in unit_set_counts(ns).items()},
     }
-    _write_json(out_dir / "mapping.json", record)
-    if ks_stat is None:
-        _say(quiet, f"mapping_demo: 0 points, KS skipped ({dt:.0f} ms)")
-    else:
-        _say(quiet, f"mapping_demo: {count} points, KS={ks_stat:.4f} "
-             f"(p={ks_pval:.3f}, {dt:.0f} ms)")
-    _say(quiet, f"  wrote {out_dir / 'mapping.json'}, {out_dir / 'mapping.csv'}")
+    return "mapping", record, ("n,r", ns, images), summary
 
 
 _RUNNERS = {
@@ -404,15 +359,35 @@ _RUNNERS = {
 
 
 def run(config_path, out_dir=".", seed=None, quiet=False) -> int:
-    """Execute one experiment config.  Returns the process exit code."""
+    """Execute one experiment config.  Returns the process exit code.
+
+    Times the runner, refuses a record that is not finite before any file
+    is written, then writes <stem>.json and, with a table, <stem>.csv.
+    """
     try:
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
         cfg = resolve_config(parse_config_text(path.read_text()), seed_override=seed)
+        t0 = time.perf_counter()
+        stem, record, table, summary = _RUNNERS[cfg.experiment](cfg.params, cfg.seed)
+        dt = (time.perf_counter() - t0) * 1e3
+        config = {"experiment": cfg.experiment, "seed": cfg.seed, **cfg.params}
+        record = {"experiment": cfg.experiment, "config": config, **record}
+        try:
+            text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:
+            raise NoConvergence(f"{cfg.experiment}: the result is not finite")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[cfg.experiment](cfg, out, quiet)
+        written = [out / f"{stem}.json"]
+        written[0].write_text(text + "\n")
+        if table is not None:
+            written.append(out / f"{stem}.csv")
+            _write_csv(written[1], *table)
+        if not quiet:
+            print(f"{summary} ({dt:.0f} ms)")
+            print(f"  wrote {', '.join(map(str, written))}")
         return 0
     except ConfigError as e:
         print(f"cardpath: config error: {e}", file=sys.stderr)

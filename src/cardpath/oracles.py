@@ -64,12 +64,17 @@ def _harmonic_quadratic(kernel: AnalyticKernel):
     return pref, g * cs, g * cs, -2.0 * g
 
 
-def _windowed_value(pref, qxx, qyy, qxy, a, b, s, p, hbar) -> complex:
+def _windowed_value(pref, qxx, qyy, qxy, c0, c1, c2, s) -> complex:
     """Gaussian-windowed matrix element of a quadratic-phase kernel.
 
     Windows are unit-weight Gaussians of width s centered at a (source)
     and b (sink), both boosted by momentum p; the sink enters conjugated.
-    Evaluated exactly via a 2x2 complex Gaussian integral.
+    In window-centred coordinates x = a + u, y = b + v the integrand's
+    exponent is c0 + c1 u + c2 v - [u v] A [u v]^T: c0 is the kernel's
+    phase at the centres with the windows' momentum phases, c1 and c2 are
+    imaginary, and Re A is positive definite.  So the exact 2x2 complex
+    Gaussian integral exponentiates the imaginary c0 and a term whose real
+    part is at most 0, and nothing large is cancelled far from the origin.
     """
     a11 = 1.0 / (2.0 * s * s) - qxx
     a22 = 1.0 / (2.0 * s * s) - qyy
@@ -78,13 +83,9 @@ def _windowed_value(pref, qxx, qyy, qxy, a, b, s, p, hbar) -> complex:
     if det == 0:
         raise InvalidParameter(
             f"the window integral's determinant underflows to 0 at width {s!r}")
-    b1 = a / (s * s) + 1j * p / hbar
-    b2 = b / (s * s) - 1j * p / hbar
-    # 0.25 * b^T A^{-1} b for the symmetric 2x2 inverse
-    quad = 0.25 * (a22 * b1 * b1 - 2.0 * a12 * b1 * b2 + a11 * b2 * b2) / det
-    const = -(a * a + b * b) / (2.0 * s * s)
-    return pref / (2.0 * math.pi * s * s) * math.pi / cmath.sqrt(det) \
-        * cmath.exp(quad + const)
+    # 0.25 * c^T A^{-1} c for the symmetric 2x2 inverse
+    quad = 0.25 * (a22 * c1 * c1 - 2.0 * a12 * c1 * c2 + a11 * c2 * c2) / det
+    return pref * cmath.exp(quad) / (2.0 * s * s) / cmath.sqrt(det) * cmath.exp(c0)
 
 
 def analytic_propagator(kernel: AnalyticKernel, a: float, b: float,
@@ -118,12 +119,18 @@ def analytic_propagator(kernel: AnalyticKernel, a: float, b: float,
         s = float(source_width)
         if s <= 0:
             raise InvalidParameter("source_width must be positive")
-        p = m * (b - a) / T if source_momentum is None else float(source_momentum)
+        d = b - a
+        p = m * d / T if source_momentum is None else float(source_momentum)
+        # the kernel's phase and its gradient at the window centres
         if kernel.family == "free":
             pref, qxx, qyy, qxy = _free_quadratic(kernel)
+            phase, du, dv = qxx * d * d, -2.0 * qxx * d, 2.0 * qxx * d
         else:
             pref, qxx, qyy, qxy = _harmonic_quadratic(kernel)
-        z = _windowed_value(pref, qxx, qyy, qxy, a, b, s, p, hb)
+            phase = qxx * a * a + qyy * b * b + qxy * a * b
+            du, dv = 2.0 * qxx * a + qxy * b, 2.0 * qyy * b + qxy * a
+        z = _windowed_value(pref, qxx, qyy, qxy, phase - 1j * p * d / hb,
+                            du + 1j * p / hb, dv - 1j * p / hb, s)
     if z == 0 and kernel.family != "euclidean_free":
         raise NoConvergence(f"the {kernel.family} kernel underflows to 0")
     return Amplitude.from_complex(z)

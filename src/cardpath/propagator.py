@@ -164,6 +164,14 @@ def convergence_recipe(lag: LagrangianSpec, hbar: float, t_total: float,
     return grid, space, source_width
 
 
+def guard_bytes(nbytes, what: str) -> None:
+    """Raise TooLarge unless nbytes, the size of what, is at most
+    _DENSE_GUARD; a count that is not finite is refused too."""
+    if not nbytes <= _DENSE_GUARD:
+        raise TooLarge(f"{what} needs {nbytes:.3g} bytes, "
+                       f"over the {_DENSE_GUARD}-byte guard")
+
+
 def _fft_bytes(sites, size):
     """Bytes of the FFT step's arrays: the midpoints and V there, g's
     transform and the work buffer at padded length size, D_in and D_out."""
@@ -177,9 +185,8 @@ def site_count(intervals: float) -> int:
     or when even the FFT step's arrays for that many sites would exceed
     _DENSE_GUARD bytes (the dense step is larger still).
     """
-    if not _fft_bytes(intervals + 1.0, 2.0 * intervals + 1.0) <= _DENSE_GUARD:
-        raise TooLarge(f"a grid of {intervals:.3g} spacings needs a step operator "
-                       f"over the {_DENSE_GUARD}-byte guard")
+    guard_bytes(_fft_bytes(intervals + 1.0, 2.0 * intervals + 1.0),
+                f"the step operator of a grid of {intervals:.3g} spacings")
     return int(math.ceil(intervals)) + 1
 
 
@@ -203,10 +210,7 @@ def step_matrix(cfg: PropagatorConfig, step_index: int = 1) -> np.ndarray:
     before allocating, when the matrix would exceed _DENSE_GUARD bytes.
     """
     n = cfg.space.sites
-    nbytes = n * n * 16
-    if nbytes > _DENSE_GUARD:
-        raise TooLarge(f"a {n} x {n} step matrix needs {nbytes} bytes, "
-                       f"over the {_DENSE_GUARD}-byte guard")
+    guard_bytes(n * n * 16, f"a {n} x {n} step matrix")
     dx = cfg.space.dx
     d = dx * np.arange(n)
     norm = cfg.norm_per_step
@@ -247,10 +251,7 @@ def _step(cfg: PropagatorConfig, step_index: int):
     at their least padded length would exceed _DENSE_GUARD bytes.
     """
     n = cfg.space.sites
-    nbytes = _fft_bytes(n, 2 * n - 1)
-    if nbytes > _DENSE_GUARD:
-        raise TooLarge(f"a {n}-site step operator needs {nbytes} bytes, "
-                       f"over the {_DENSE_GUARD}-byte guard")
+    guard_bytes(_fft_bytes(n, 2 * n - 1), f"a {n}-site step operator")
     fit = _quadratic_fit(*_midpoint_potential(cfg, step_index),
                          cfg.grid.epsilon / cfg.hbar)
     if fit is None:
@@ -288,10 +289,7 @@ class _FftStep:
         import scipy.fft
         n = cfg.space.sites
         size = scipy.fft.next_fast_len(2 * n - 1)
-        nbytes = _fft_bytes(n, size)
-        if nbytes > _DENSE_GUARD:
-            raise TooLarge(f"a {n}-site step operator needs {nbytes} bytes, "
-                           f"over the {_DENSE_GUARD}-byte guard")
+        guard_bytes(_fft_bytes(n, size), f"a {n}-site step operator")
         eps, hbar = cfg.grid.epsilon, cfg.hbar
         chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
         self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft

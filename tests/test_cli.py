@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from cardpath import cli
-from cardpath.cli import (ExperimentConfig, main, mapping_demo,
-                          parse_config_text, resolve_config, run)
+from cardpath.cli import (main, mapping_demo, parse_config_text,
+                          resolve_config, run)
 from cardpath.errors import ConfigError
 
 
@@ -405,8 +406,52 @@ def test_main_entry_point(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_mapping_demo_callable_directly(tmp_path):
-    cfg = ExperimentConfig(experiment="mapping_demo", seed=0,
-                           params={"count": 20, "units": 2, "lo": 0.0, "hi": 1.0})
-    mapping_demo(cfg, tmp_path, quiet=True)
-    assert (tmp_path / "mapping.json").exists()
+def test_mapping_demo_callable_directly():
+    stem, record, table, summary = mapping_demo(
+        {"count": 20, "units": 2, "lo": 0.0, "hi": 1.0}, 0)
+    assert stem == "mapping"
+    assert record["unit_set_counts"] == {"0": 10, "1": 10}
+    assert 0.0 <= record["ks_statistic"] <= 1.0
+    header, ns, images = table
+    assert header == "n,r" and len(ns) == len(images) == 20
+    assert summary.startswith("mapping_demo: 20 points")
+
+
+@pytest.mark.parametrize("experiment", sorted(cli._RUNNERS))
+def test_runners_return_records_and_write_nothing(tmp_path, monkeypatch,
+                                                  experiment):
+    # small configs; every runner is a function of (params, seed) only
+    small = {"propagator_convergence": "k = 8\n",
+             "concentration_scan": "k = 4\nhbar_values = 1.0,0.5\n",
+             "mapping_demo": "count = 50\n"}
+    cfg = resolve_config(parse_config_text(
+        f"experiment = {experiment}\n" + small.get(experiment, "")))
+    monkeypatch.chdir(tmp_path)
+    stem, record, table, summary = cli._RUNNERS[cfg.experiment](cfg.params, cfg.seed)
+    json.dumps(record, allow_nan=False)
+    assert stem and summary.startswith(experiment)
+    assert table is None or len(table[1]) == len(table[-1])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys):
+    # omega * t_total far out of range: the engine's value is NaN.  The
+    # numpy warnings on the way, which pytest turns into errors, are
+    # silenced here; the record is refused before any file is written
+    cfgf = _write(tmp_path, "nan.cfg", "experiment = propagator_convergence\n"
+                  "family = harmonic\nomega = 1e150\nt_total = 1e10\n")
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert run(cfgf, out_dir=str(out), quiet=True) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_windowed_oracle_far_from_origin_exits_0(tmp_path):
+    # the windowed oracle at a = b = -1e10 used to overflow in cmath.exp
+    cfgf = _write(tmp_path, "far.cfg", "experiment = propagator_convergence\n"
+                  "hbar = 0.5\na = -1e10\nb = -1e10\n")
+    out = tmp_path / "o"
+    assert run(cfgf, out_dir=str(out), quiet=True) == 0
+    rec = json.loads((out / "convergence.json").read_text())
+    assert math.isfinite(rec["rel_error"])

@@ -94,6 +94,22 @@ def test_windowed_oracle_matches_quadrature(family, omega):
     assert abs(got - want) / abs(want) < 1e-9
 
 
+@pytest.mark.parametrize("shift", [1e3, 1e5, 1e10, -1e10])
+def test_free_windowed_oracle_is_shift_invariant(shift):
+    # the free kernel depends on b - a only, and the windows' momentum
+    # phases cancel under a common shift; far from the origin the value
+    # neither loses digits nor overflows
+    kernel = AnalyticKernel("free", mass=1.0, hbar=1.0, T=1.0)
+    want = analytic_propagator(kernel, 0.0, 0.5, source_width=0.4).to_complex()
+    got = analytic_propagator(kernel, shift, shift + 0.5,
+                              source_width=0.4).to_complex()
+    assert abs(got - want) <= 1e-12 * abs(want)
+    half = AnalyticKernel("free", mass=1.0, hbar=0.5, T=1.0)
+    want = analytic_propagator(half, 0.0, 0.0, source_width=0.3).to_complex()
+    got = analytic_propagator(half, shift, shift, source_width=0.3).to_complex()
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_windowed_value_converges_to_pointwise_kernel():
     # with zero boost the windows tend to plain delta spikes, so the
     # matrix element recovers the pointwise kernel as the width shrinks
