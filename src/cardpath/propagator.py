@@ -12,14 +12,21 @@ matrix T[j', j] = norm * dx * e^{i S_step / hbar}.
 
 Cost.  `Sweep(cfg)` applies the k steps.  On the uniform grid the kinetic
 phase of T depends only on j' - j and the midpoint potential only on
-j + j'.  When V is quadratic on the grid (free, linear, harmonic, or any
-potential that is quadratic in r at each step's midpoint time) a step
-factors exactly as D * Toeplitz * D and is applied with scipy.fft by
-circulant embedding: O(sites log sites) time and about 128 * sites bytes.
-Otherwise a step is the dense matrix, built from 3*sites exponentials and
-applied with BLAS: O(sites^2) time and 16 * sites^2 bytes.  A Sweep builds
-step 1 when it is made, under one size guard for both, and reuses it for
-every step when V is time-independent.
+j + j', so T is a Toeplitz matrix times a Hankel matrix, elementwise.  A
+quadratic fit c0 + c1 r + c2 r^2 to V at the midpoints moves into two
+diagonals and the Toeplitz factor, and what it leaves is a Hankel factor
+e^{-i eps (V - fit) / hbar} of rank r under adaptive cross approximation.
+A step is then r Toeplitz products applied with scipy.fft by circulant
+embedding at padded length L ~ 2 * sites: O(r * sites log sites) time and
+about 16 * r * (L + 2 * sites) bytes.  A quadratic V (free, linear,
+harmonic, or quadratic in r at each step's midpoint time) is the exact
+case r = 1; a quartic on a 2,986-site recipe grid has r = 33.  The dense
+matrix, built from 3*sites exponentials and applied with BLAS in
+O(sites^2) time and 16 * sites^2 bytes, is kept for a V that is not finite
+at some midpoint (a hard wall makes the Hankel factor an indicator, of
+full rank) and for ranks whose arrays would not be smaller than it, as on
+small grids.  A Sweep builds step 1 when it is made, under one size guard
+for both, and reuses it for every step when V is time-independent.
 
 Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
 It evaluates V on about (k-2) * sites^2 site pairs, once per step, and
@@ -88,6 +95,12 @@ _MC_BLOCK = 8  # Monte Carlo chunks per pool job; 4 to 16 time the same
 # A quadratic fit to V within this step phase (rad) makes the FFT step
 # agree with the dense matrix to rounding.
 _FIT_PHASE_TOL = 1e-12
+# ACA stops after two terms in a row below this fraction of the Hankel
+# factor's norm.  A sweep's error adds up over its steps: stopping at one
+# term below 1e-14, a quartic sweep of 16 steps came within 2x of the 1e-12
+# gate against the dense steps; as set, the gated instances stay 30x
+# inside it.
+_ACA_TOL = 3e-15
 
 
 @dataclass(frozen=True)
@@ -172,10 +185,18 @@ def guard_bytes(nbytes, what: str) -> None:
                        f"over the {_DENSE_GUARD}-byte guard")
 
 
-def _fft_bytes(sites, size):
-    """Bytes of the FFT step's arrays: the midpoints and V there, g's
-    transform and the work buffer at padded length size, D_in and D_out."""
-    return 16 * (2 * sites - 1) + 32 * size + 32 * sites
+def _fft_bytes(sites, size, rank=1):
+    """Bytes of the arrays of an FFT step of the given rank: the midpoints
+    and V there, g's transform at padded length size, and per rank a work
+    row of that length and its two sites-long factors."""
+    return 16 * (2 * sites - 1) + 16 * size + 16 * rank * (size + 2 * sites)
+
+
+def _max_rank(sites, size):
+    """The largest rank whose FFT step arrays are smaller than the dense
+    sites x sites matrix and within _DENSE_GUARD bytes."""
+    room = min(16 * sites * sites - 1, _DENSE_GUARD) - _fft_bytes(sites, size, 0)
+    return room // (16 * (size + 2 * sites))
 
 
 def site_count(intervals: float) -> int:
@@ -225,11 +246,9 @@ def step_matrix(cfg: PropagatorConfig, step_index: int = 1) -> np.ndarray:
     return toeplitz * hankel
 
 
-def _quadratic_fit(r: np.ndarray, v: np.ndarray, phase_per_v: float):
-    """(c0, c1, c2) with V = c0 + c1 r + c2 r^2 at every r to within
-    _FIT_PHASE_TOL of step phase phase_per_v * V, or None."""
-    if not np.all(np.isfinite(v)):
-        return None
+def _quadratic_fit(r: np.ndarray, v: np.ndarray):
+    """(c0, c1, c2), the least-squares fit V ~ c0 + c1 r + c2 r^2 to finite
+    V at the midpoints r, and the residual V - fit there."""
     center, half = 0.5 * (r[-1] + r[0]), 0.5 * (r[-1] - r[0])
     u = (r - center) / half
     a0, a1, a2 = np.linalg.lstsq(np.stack([np.ones_like(u), u, u * u], axis=1),
@@ -237,46 +256,125 @@ def _quadratic_fit(r: np.ndarray, v: np.ndarray, phase_per_v: float):
     c2 = a2 / (half * half)
     c1 = a1 / half - 2.0 * c2 * center
     c0 = a0 - a1 * center / half + c2 * center * center
-    if phase_per_v * np.max(np.abs(v - (c0 + (c1 + c2 * r) * r))) > _FIT_PHASE_TOL:
+    return (c0, c1, c2), v - (c0 + (c1 + c2 * r) * r)
+
+
+def _aca(h: np.ndarray, max_rank: int):
+    """(U, V), rank x sites arrays with sum_q U[q, i] V[q, j] equal to the
+    Hankel matrix H[i, j] = h[i + j] to about _ACA_TOL of its Frobenius
+    norm, or None when that takes more than max_rank terms.
+
+    Partially pivoted adaptive cross approximation (Bebendorf, Numer.
+    Math. 86, 565 (2000)): each term is a residual row and column of H,
+    i.e. slices of h, so it reads O(rank * sites) entries of H.  The
+    factors grow by doubling, each size under guard_bytes.
+    """
+    n = (h.size + 1) // 2
+    us = vs = np.empty((0, n), dtype=complex)
+    free = np.ones(n, dtype=bool)  # rows not yet pivoted on
+    norm2 = 0.0  # squared Frobenius norm of the approximation so far
+    i = q = small = 0
+    while q < max_rank:
+        free[i] = False
+        row = h[i:i + n] - us[:q, i] @ vs[:q]
+        j = int(np.argmax(np.abs(row)))
+        if row[j] == 0:  # row i is already exact; try the next free one
+            if not free.any():
+                break
+            i = int(np.argmax(free))
+            continue
+        if q == len(us):
+            grown = min(max(2 * q, 16), max_rank)
+            guard_bytes(2 * 16 * grown * n, f"{grown} cross terms of {n} sites")
+            us, vs = (np.concatenate([a, np.empty((grown - q, n), dtype=complex)])
+                      for a in (us, vs))
+        vs[q] = row / row[j]
+        us[q] = h[j:j + n] - vs[:q, j] @ us[:q]
+        uu = np.vdot(us[q], us[q]).real
+        vv = np.vdot(vs[q], vs[q]).real
+        # |S + u v^T|^2 = |S|^2 + 2 Re <S, u v^T> + |u|^2 |v|^2
+        norm2 += uu * vv + 2.0 * np.dot(us[:q] @ us[q].conj(),
+                                        vs[:q] @ vs[q].conj()).real
+        q += 1
+        small = small + 1 if uu * vv <= _ACA_TOL * _ACA_TOL * norm2 else 0
+        if small == 2:
+            break
+        i = int(np.argmax(np.where(free, np.abs(us[q - 1]), -1.0)))
+    else:
         return None
-    return c0, c1, c2
+    return us[:q], vs[:q]
 
 
-def _step(cfg: PropagatorConfig, step_index: int):
+def _step(cfg: PropagatorConfig, step_index: int, prev=None):
     """Step i of cfg: step @ psi is T psi, a new array, for T =
-    step_matrix(cfg, i).  An _FftStep when V at the 2*sites - 1 midpoints
-    is c0 + c1 r + c2 r^2, and the dense matrix itself otherwise.
+    step_matrix(cfg, i).
 
-    Raises TooLarge before V is evaluated when even the FFT step's arrays
-    at their least padded length would exceed _DENSE_GUARD bytes.
+    An _FftStep of rank 1 when V at the 2*sites - 1 midpoints is
+    c0 + c1 r + c2 r^2 to within _FIT_PHASE_TOL of step phase, and
+    otherwise of the rank r that _aca finds for the Hankel factor
+    e^{-i eps (V - fit) / hbar}.  The dense matrix itself when V is not
+    finite at some midpoint (a hard wall makes that factor an indicator,
+    of full rank) or when the rank-r arrays, about 16 r (L + 2 sites)
+    bytes, would not be smaller than its 16 sites^2 (_max_rank).  prev,
+    the step before in the same sweep, lends its chirp to a step with the
+    same (c1, c2).
+
+    Raises TooLarge before V is evaluated when even the rank-1 arrays at
+    their least padded length would exceed _DENSE_GUARD bytes, and
+    InvalidParameter when eps (V - fit) / hbar is not finite.
     """
     n = cfg.space.sites
     guard_bytes(_fft_bytes(n, 2 * n - 1), f"a {n}-site step operator")
-    fit = _quadratic_fit(*_midpoint_potential(cfg, step_index),
-                         cfg.grid.epsilon / cfg.hbar)
-    if fit is None:
+    r, v = _midpoint_potential(cfg, step_index)
+    if not np.all(np.isfinite(v)):
         return step_matrix(cfg, step_index)
-    return _FftStep(cfg, *fit)
+    fit, resid = _quadratic_fit(r, v)
+    eps, hbar = cfg.grid.epsilon, cfg.hbar
+    phase_per_v = eps / hbar
+    worst = np.max(np.abs(resid))
+    if phase_per_v == 0 or worst <= _FIT_PHASE_TOL / phase_per_v:
+        return _FftStep(cfg, fit, None, prev)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = eps * resid / hbar
+    if not np.all(np.isfinite(phase)):
+        raise InvalidParameter(
+            f"the step phase eps (V - fit) / hbar of step {step_index} is not "
+            f"finite at eps = {eps!r}, hbar = {hbar!r}")
+    import scipy.fft
+    factors = _aca(np.exp(-1j * phase),
+                   _max_rank(n, scipy.fft.next_fast_len(2 * n - 1)))
+    if factors is None:
+        return step_matrix(cfg, step_index)
+    return _FftStep(cfg, fit, factors, prev)
 
 
 class _FftStep:
-    """The step for V = c0 + c1 r + c2 r^2 at the midpoints, which factors
-    exactly as
+    """The step T = scale * D * (Toeplitz(g) o Hankel(h)) * D, applied by
+    FFT, where the fit V ~ c0 + c1 r + c2 r^2 at the midpoints gives
 
-        T[j', j] = scale * D(x_j') * g(x_j' - x_j) * D(x_j),
         g(d) = e^{i (m/(2 eps) + eps c2/4) d^2 / hbar},
         D(x) = e^{-i eps (c2 x^2/2 + c1 x/2) / hbar},
         scale = norm * dx * e^{-i eps c0 / hbar},
 
-    so that the Toeplitz product with g is an FFT by circulant embedding,
+    and h[j + j'] = e^{-i eps (V - fit)(r_{j+j'}) / hbar} is the Hankel
+    factor of what the fit leaves.  With h = sum_q U[q] V[q]^T (rank 1
+    and U = V = 1 for a quadratic V),
+
+        T psi = sum_q scale D U[q] * ifft(g_hat * fft(D V[q] psi)),
+
+    r Toeplitz products with g by circulant embedding at padded length L,
     with no sites x sites array.
 
-    It owns one complex work buffer of the padded length L, and @ runs
-    both transforms in it in place (scipy's overwrite_x gives the bits of
-    out-of-place calls), so a step allocates only its sites-long result and
-    one step must not be applied twice at once.  The reused buffer keeps a
-    step's cost independent of the state of the heap, where fresh L-long
-    arrays on every step may be faulted in anew.
+    It owns one complex r x L work buffer (of length L at r = 1), and @
+    runs both transforms in it in place (scipy's overwrite_x gives the
+    bits of out-of-place calls) and multiplies the factors into it, so a
+    step allocates only its sites-long result and one step must not be
+    applied twice at once.
+    The reused buffer keeps a step's cost independent of the state of the
+    heap, where fresh L-long arrays on every step may be faulted in anew.
+    A step built with prev, a step of the same sweep with bitwise equal
+    (c1, c2), shares its g_hat, D and work buffer, and builds only the
+    factors and the c0 scale.
 
     The transform is scipy.fft, imported here, so that a run with dense
     steps only loads no scipy: numpy.fft gives the same bits but measured
@@ -285,33 +383,53 @@ class _FftStep:
     would exceed _DENSE_GUARD bytes.
     """
 
-    def __init__(self, cfg: PropagatorConfig, c0, c1, c2):
+    def __init__(self, cfg: PropagatorConfig, fit, factors, prev=None):
         import scipy.fft
         n = cfg.space.sites
         size = scipy.fft.next_fast_len(2 * n - 1)
-        guard_bytes(_fft_bytes(n, size), f"a {n}-site step operator")
+        rank = 1 if factors is None else len(factors[0])
+        guard_bytes(_fft_bytes(n, size, rank), f"a {n}-site step operator")
         eps, hbar = cfg.grid.epsilon, cfg.hbar
-        chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
+        c0, c1, c2 = fit
         self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft
-        g = np.zeros(size, dtype=complex)
-        d = cfg.space.dx * np.arange(n)
-        g[:n] = np.exp(1j * chirp * d * d / hbar)
-        g[size - n + 1:] = g[n - 1:0:-1]
-        self._g_hat = self._fft(g, overwrite_x=True)
-        self._work = np.empty(size, dtype=complex)
-        x = cfg.space.points()
-        self._d_in = np.exp(-1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
+        self._chirp_key = np.array([c1, c2]).tobytes()
+        if isinstance(prev, _FftStep) and prev._chirp_key == self._chirp_key:
+            self._g_hat, self._d_in = prev._g_hat, prev._d_in
+        else:
+            chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
+            g = np.zeros(size, dtype=complex)
+            d = cfg.space.dx * np.arange(n)
+            g[:n] = np.exp(1j * chirp * d * d / hbar)
+            g[size - n + 1:] = g[n - 1:0:-1]
+            self._g_hat = self._fft(g, overwrite_x=True)
+            x = cfg.space.points()
+            self._d_in = np.exp(-1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
         scale = cfg.norm_per_step * cfg.space.dx
         self._d_out = scale * np.exp(-1j * eps * c0 / hbar) * self._d_in
+        # rank 1 keeps 1-D arrays: (1, L) ones made the CLI's default
+        # kernels about 10% slower
+        self.rank = rank
+        if factors is None:
+            self._v_in, self._u_out = self._d_in, self._d_out
+        else:
+            self._u_out = factors[0] * self._d_out
+            self._v_in = factors[1] * self._d_in
+        shape = (size,) if rank == 1 else (rank, size)
+        if isinstance(prev, _FftStep) and prev._work.shape == shape:
+            self._work = prev._work
+        else:
+            self._work = np.empty(shape, dtype=complex)
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
         n, w = self._d_in.size, self._work
-        np.multiply(self._d_in, psi, out=w[:n])
-        w[n:] = 0.0
+        np.multiply(self._v_in, psi, out=w[..., :n])
+        w[..., n:] = 0.0
         w = self._fft(w, overwrite_x=True)
         w *= self._g_hat
         w = self._ifft(w, overwrite_x=True)
-        return self._d_out * w[:n]
+        if self.rank == 1:
+            return self._u_out * w[:n]
+        return np.multiply(self._u_out, w[:, :n], out=w[:, :n]).sum(axis=0)
 
 
 class Sweep:
@@ -320,7 +438,8 @@ class Sweep:
     Building it builds step 1, so the size guard refuses a grid before the
     caller makes anything grid-sized.  A time-independent potential reuses
     that build for every step of every call, so that the sweeps of one
-    configuration share it; a time-dependent one builds step i at step i.
+    configuration share it; a time-dependent one builds step i at step i
+    from step i - 1, whose chirp it may share.
     """
 
     def __init__(self, cfg: PropagatorConfig):
@@ -333,7 +452,7 @@ class Sweep:
         states = [psi]
         for i in range(1, self.cfg.grid.k + 1):
             if i > 1 and self.cfg.lag.time_dependent:
-                step = _step(self.cfg, i)
+                step = _step(self.cfg, i, step)
             psi = step @ psi
             if keep:
                 states.append(psi)

@@ -210,18 +210,20 @@ def test_oversized_grids_exit_3_before_allocating(tmp_path, monkeypatch):
 
 def test_import_loads_no_scipy():
     # nor concurrent.futures, which the sampling pool imports when it runs;
-    # a sweep of dense steps only (a quartic potential) loads neither
-    quartic = (
+    # a sweep of dense steps only (a hard wall) loads neither
+    walled = (
+        "import numpy as np\n"
         "from cardpath.lattice import LagrangianSpec, SpaceGrid, TimeGrid\n"
         "from cardpath.propagator import PropagatorConfig, "
         "propagate_transfer_matrix\n"
-        "lag = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4)\n"
+        "lag = LagrangianSpec(mass=1.0, potential=lambda r, t: "
+        "np.where(np.abs(r) > 1.5, np.inf, 0.1 * r ** 4))\n"
         "propagate_transfer_matrix(PropagatorConfig(\n"
         "    grid=TimeGrid(0.0, 1.0, 4), space=SpaceGrid(-2.0, 2.0, 60),\n"
         "    lag=lag, hbar=1.0, a=0.0, b=0.5), source_width=0.4)\n")
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    for run_code in ("", quartic):
+    for run_code in ("", walled):
         code = ("import sys, cardpath, cardpath.cli\n" + run_code +
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
                 " or m.startswith('concurrent.futures')))")
@@ -445,6 +447,36 @@ def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys):
         assert run(cfgf, out_dir=str(out), quiet=True) == 3
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_huge_step_phase_exits_3_without_a_warning(tmp_path, capsys):
+    # eps / hbar is about 4e294, so the quadratic fit's rounding residual
+    # times it overflows: the step is refused before the cross
+    # approximation sees a non-finite phase (pytest makes any numpy
+    # warning on the way an error)
+    cfgf = _write(tmp_path, "huge.cfg", "experiment = propagator_convergence\n"
+                  "family = harmonic\nt_total = 1e296\n"
+                  "a = -0.33786600925653065\n")
+    out = tmp_path / "o"
+    assert run(cfgf, out_dir=str(out), quiet=True) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", [
+    "hbar = 1e-124\nt_total = 1e265\nb = -0.4037630634875333\n",  # inf
+    "hbar = 1e200\nt_total = 1e-200\n",                           # 0
+])
+def test_step_phase_per_unit_of_v_out_of_float_range_exits_0(tmp_path, body):
+    # eps / hbar overflows to inf or underflows to 0 while V - fit is 0 at
+    # every midpoint, so the step is the exact rank-1 FFT step, with no
+    # warning and no division by zero
+    cfgf = _write(tmp_path, "free.cfg", "experiment = propagator_convergence\n"
+                  "family = free\n" + body)
+    out = tmp_path / "o"
+    assert run(cfgf, out_dir=str(out), quiet=True) == 0
+    rec = json.loads((out / "convergence.json").read_text())
+    assert rec["rel_error"] < 1e-9
 
 
 def test_windowed_oracle_far_from_origin_exits_0(tmp_path):

@@ -182,15 +182,64 @@ def test_fft_step_matches_dense_sweep(monkeypatch):
 
 
 def test_non_quadratic_potentials_take_the_dense_path(monkeypatch):
+    # a hard wall makes the Hankel factor an indicator, of full rank, so a
+    # walled V keeps the dense matrix; a finite non-quadratic V takes the
+    # low-rank FFT step (test_low_rank_step_matches_dense_sweep)
     builds = _count_builds(monkeypatch)
-    quartic = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4)
     walled = LagrangianSpec(mass=1.0, potential=_walled, label="box")
-    for lag in (quartic, walled):
-        cfg = _small_cfg(lag, k=4, sites=40)
-        psi = gaussian_window(cfg.space.points(), 0.0, 0.3, 0.5, 1.0)
+    cfg = _small_cfg(walled, k=4, sites=40)
+    psi = gaussian_window(cfg.space.points(), 0.0, 0.3, 0.5, 1.0)
+    assert np.array_equal(Sweep(cfg)(psi), _dense_sweep(cfg, psi))
+    assert len(builds) == 1
+
+
+def _anharmonic_lags():
+    quartic = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4,
+                             label="quartic")
+    double_well = LagrangianSpec(
+        mass=1.0, potential=lambda r, t: 0.25 * (r * r - 1.0) ** 2,
+        label="double well")
+    td_quartic = LagrangianSpec(
+        mass=1.0, time_dependent=True, label="td quartic",
+        potential=lambda r, t: 0.1 * r ** 4 + 0.3 * np.sin(3.0 * t) * r ** 3)
+    return quartic, double_well, td_quartic
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.25, 0.0625])
+def test_low_rank_step_matches_dense_sweep(monkeypatch, hbar):
+    # the gate that _ACA_TOL is tied to: on recipe grids of about 1,000
+    # sites every step is a low-rank FFT step, and the sweep matches the
+    # dense steps within 1e-12, max-norm relative
+    builds = _count_builds(monkeypatch)
+    rng = np.random.default_rng(int(1 / hbar))
+    for lag in _anharmonic_lags():
+        a = float(rng.uniform(-0.2, 0.2))
+        b = a + float(rng.uniform(0.3, 0.7))
+        grid, space, width = convergence_recipe(lag, hbar, 1.0, a, b, k=8)
+        cfg = PropagatorConfig(grid=grid, space=space, lag=lag, hbar=hbar,
+                               a=a, b=b)
+        psi = gaussian_window(space.points(), a, width, b - a, hbar)
+        evolve = Sweep(cfg)
+        assert 1 < evolve._first.rank < 100, lag.label
+        got = evolve(psi)
+        assert not builds, lag.label
+        want = _dense_sweep(cfg, psi)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), \
+            lag.label
+
+
+def test_size_rule_picks_dense_on_a_small_grid(monkeypatch):
+    # on 12 sites the step arrays beat the 12 x 12 matrix only up to rank 2,
+    # and each of these Hankel factors on [-3, 3] needs more
+    builds = _count_builds(monkeypatch)
+    for lag in _anharmonic_lags():
+        cfg = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 4),
+                               space=SpaceGrid(-3.0, 3.0, 12), lag=lag,
+                               hbar=1.0, a=0.0, b=0.5)
+        psi = gaussian_window(cfg.space.points(), 0.0, 0.8, 0.5, 1.0)
         builds.clear()
         assert np.array_equal(Sweep(cfg)(psi), _dense_sweep(cfg, psi))
-        assert len(builds) == 1
+        assert len(builds) == (4 if lag.time_dependent else 1), lag.label
 
 
 def test_step_operator_guard_allocates_nothing(monkeypatch):
@@ -234,6 +283,68 @@ def test_fft_apply_bits_match_out_of_place_formula():
                 assert np.array_equal(op @ psi, want)
 
 
+def test_rank_one_step_bits_match_hand_written_fft_apply():
+    # T = scale * D * Toeplitz(g) * D from the module's formulas, applied
+    # out of place with scipy.fft: the rank-r step at r = 1 gives the same
+    # bits
+    import scipy.fft
+    rng = np.random.default_rng(62)
+    for lag in _quadratic_lags():
+        for sites in (2, 37, 2986):
+            cfg = _small_cfg(lag, k=3, sites=sites)
+            eps, hbar, dx = cfg.grid.epsilon, cfg.hbar, cfg.space.dx
+            for i in (1, 3):
+                op = propagator._step(cfg, i)
+                assert op.rank == 1
+                (c0, c1, c2), _ = propagator._quadratic_fit(
+                    *propagator._midpoint_potential(cfg, i))
+                size = scipy.fft.next_fast_len(2 * sites - 1)
+                g = np.zeros(size, dtype=complex)
+                d = dx * np.arange(sites)
+                g[:sites] = np.exp(1j * (lag.mass / (2.0 * eps) + 0.25 * eps * c2)
+                                   * d * d / hbar)
+                g[size - sites + 1:] = g[sites - 1:0:-1]
+                x = cfg.space.points()
+                D = np.exp(-1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
+                scale = cfg.norm_per_step * dx * np.exp(-1j * eps * c0 / hbar)
+                psi = rng.standard_normal(sites) + 1j * rng.standard_normal(sites)
+                want = (scale * D) * scipy.fft.ifft(
+                    scipy.fft.fft(D * psi, size) * scipy.fft.fft(g))[:sites]
+                assert np.array_equal(op @ psi, want), (lag.label, sites, i)
+
+
+def test_time_dependent_sweep_reuses_the_chirp(monkeypatch):
+    # td_harmonic's fit has the same (c1, c2), to the bit, at some
+    # consecutive steps: those share g_hat and D and only rescale by c0,
+    # and the sweep keeps the bits of steps built on their own
+    built = []
+    build = propagator._step
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(propagator, "_step", recorded)
+    lag = LagrangianSpec(mass=1.0, time_dependent=True, label="td harmonic",
+                         potential=lambda r, t: 0.5 * r * r + 0.7 * np.sin(3.0 * t))
+    grid, space, width = convergence_recipe(lag, 1.0, 1.0, 0.03, 0.5, k=16)
+    cfg = PropagatorConfig(grid=grid, space=space, lag=lag, hbar=1.0,
+                           a=0.03, b=0.5)
+    psi = gaussian_window(space.points(), 0.03, width, 0.47, 1.0)
+    got = Sweep(cfg)(psi)
+    shared = 0
+    for prev, op in zip(built, built[1:]):
+        same = prev._chirp_key == op._chirp_key
+        assert (op._g_hat is prev._g_hat) == same
+        assert (op._d_in is prev._d_in) == same
+        shared += same
+    assert shared > 0
+    want = psi
+    for i in range(1, grid.k + 1):
+        want = build(cfg, i) @ want
+    assert np.array_equal(got, want)
+
+
 def test_sweep_keep_returns_distinct_arrays():
     for lag in _quadratic_lags()[:2]:
         cfg = _small_cfg(lag, k=5, sites=64)
@@ -252,9 +363,9 @@ def _count_steps(monkeypatch):
     steps = []
     build = propagator._step
 
-    def counted(cfg, step_index):
+    def counted(cfg, step_index, *prev):
         steps.append(step_index)
-        return build(cfg, step_index)
+        return build(cfg, step_index, *prev)
 
     monkeypatch.setattr(propagator, "_step", counted)
     return steps
@@ -322,17 +433,21 @@ def test_site_count_guard():
 def test_dense_step_matrix_guard():
     # refused from the site count alone, before anything is allocated
     space = SpaceGrid(-1.0, 1.0, 100_000)
-    quartic = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4)
+    walled = LagrangianSpec(mass=1.0, potential=_walled, label="box")
     cfg = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 1), space=space,
-                           lag=quartic, hbar=1.0, a=0.0, b=0.5)
+                           lag=walled, hbar=1.0, a=0.0, b=0.5)
     with pytest.raises(TooLarge):
         step_matrix(cfg, 1)
     with pytest.raises(TooLarge):
         propagate_transfer_matrix(cfg)
-    # a quadratic potential on the same grid never needs the matrix
-    free = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 1), space=space,
-                            lag=free_particle(), hbar=1.0, a=0.0, b=0.5)
-    assert math.isfinite(abs(propagate_transfer_matrix(free).value.to_complex()))
+    # a finite potential on the same grid never needs the matrix: the
+    # quadratic one takes the rank-1 FFT step, the quartic a low-rank one
+    quartic = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4)
+    for lag in (free_particle(), quartic):
+        finite = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 1), space=space,
+                                  lag=lag, hbar=1.0, a=0.0, b=0.5)
+        value = propagate_transfer_matrix(finite).value.to_complex()
+        assert math.isfinite(abs(value)), lag.label
 
 
 def test_hard_wall_paths_drop_out_consistently():
