@@ -25,8 +25,11 @@ matrix, built from 3*sites exponentials and applied with BLAS in
 O(sites^2) time and 16 * sites^2 bytes, is kept for a V that is not finite
 at some midpoint (a hard wall makes the Hankel factor an indicator, of
 full rank) and for ranks whose arrays would not be smaller than it, as on
-small grids.  A Sweep builds step 1 when it is made, under one size guard
-for both, and reuses it for every step when V is time-independent.
+small grids, or whose build and products are measured to take longer than
+its own; the cross approximation stops at that rank, so a V of high rank
+costs about two dense builds.  A Sweep builds step 1 when it is made,
+under one size guard for both, and reuses it for every step when V is
+time-independent.
 
 Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
 It evaluates V on about (k-2) * sites^2 site pairs, once per step, and
@@ -98,9 +101,14 @@ _FIT_PHASE_TOL = 1e-12
 # ACA stops after two terms in a row below this fraction of the Hankel
 # factor's norm.  A sweep's error adds up over its steps: stopping at one
 # term below 1e-14, a quartic sweep of 16 steps came within 2x of the 1e-12
-# gate against the dense steps; as set, the gated instances stay 30x
+# gate against the dense steps; as set, the gated instances stay 10x
 # inside it.
 _ACA_TOL = 3e-15
+# Random vectors that check a stop of ACA, and the tolerance they check:
+# the FFT's rounding of H x alone reads 0.1 to 0.25 of _ACA_TOL at 5 to
+# 3,000 sites.
+_ACA_PROBES = 2
+_ACA_PROBE_TOL = 10 * _ACA_TOL
 
 
 @dataclass(frozen=True)
@@ -192,11 +200,26 @@ def _fft_bytes(sites, size, rank=1):
     return 16 * (2 * sites - 1) + 16 * size + 16 * rank * (size + 2 * sites)
 
 
-def _max_rank(sites, size):
-    """The largest rank whose FFT step arrays are smaller than the dense
-    sites x sites matrix and within _DENSE_GUARD bytes."""
-    room = min(16 * sites * sites - 1, _DENSE_GUARD) - _fft_bytes(sites, size, 0)
-    return room // (16 * (size + 2 * sites))
+def _max_rank(sites, size, applies):
+    """The largest rank whose FFT step arrays, with the probes of _aca, of
+    about the size of _ACA_PROBES more ranks, are smaller than the dense
+    sites x sites matrix and within _DENSE_GUARD bytes and, when that
+    matrix is within the guard, whose cross approximation and `applies`
+    products take less time than the matrix's build and as many
+    products."""
+    room = (min(16 * sites * sites - 1, _DENSE_GUARD)
+            - _fft_bytes(sites, size, _ACA_PROBES))
+    rank = room // (16 * (size + 2 * sites))
+    if 16 * sites * sites <= _DENSE_GUARD:
+        # per apply, in ns, measured at 500-6,000 sites (2-core x86, numpy
+        # 2.4.6, scipy 1.17.1): rank r takes 4e4 r + 0.9 r^2 sites to
+        # approximate and 18 r L to apply, the matrix 3.2 sites^2 to build
+        # and 0.6 sites^2 to apply; the root of a r^2 + b r = c
+        m = float(applies)
+        a, b = 0.9 * sites / m, 4e4 / m + 18.0 * size
+        c = (3.2 / m + 0.6) * sites * sites
+        rank = min(rank, int(2.0 * c / (b + math.sqrt(b * b + 4.0 * a * c))))
+    return rank
 
 
 def site_count(intervals: float) -> int:
@@ -266,10 +289,16 @@ def _aca(h: np.ndarray, max_rank: int):
 
     Partially pivoted adaptive cross approximation (Bebendorf, Numer.
     Math. 86, 565 (2000)): each term is a residual row and column of H,
-    i.e. slices of h, so it reads O(rank * sites) entries of H.  The
-    factors grow by doubling, each size under guard_bytes.
+    i.e. slices of h, so it reads O(rank * sites) entries of H.  Its
+    pivots may never reach a feature of h confined to a corner of H, such
+    as a finite step at the first few midpoints, so a stop is checked by
+    probing: for _ACA_PROBES seeded random vectors x with E|x_j|^2 = 1,
+    whose |E x|^2 has the mean |E|_F^2 for the residual E, E x must be
+    within the tolerance too (H x by FFT, once, at the first stop).  Where
+    it is not, the row of its largest entry is the next pivot.
     """
     n = (h.size + 1) // 2
+    x = None
     us = vs = np.empty((0, n), dtype=complex)
     free = np.ones(n, dtype=bool)  # rows not yet pivoted on
     norm2 = 0.0  # squared Frobenius norm of the approximation so far
@@ -285,7 +314,6 @@ def _aca(h: np.ndarray, max_rank: int):
             continue
         if q == len(us):
             grown = min(max(2 * q, 16), max_rank)
-            guard_bytes(2 * 16 * grown * n, f"{grown} cross terms of {n} sites")
             us, vs = (np.concatenate([a, np.empty((grown - q, n), dtype=complex)])
                       for a in (us, vs))
         vs[q] = row / row[j]
@@ -297,15 +325,32 @@ def _aca(h: np.ndarray, max_rank: int):
                                         vs[:q] @ vs[q].conj()).real
         q += 1
         small = small + 1 if uu * vv <= _ACA_TOL * _ACA_TOL * norm2 else 0
-        if small == 2:
+        if small < 2:
+            i = int(np.argmax(np.where(free, np.abs(us[q - 1]), -1.0)))
+            continue
+        if x is None:
+            import scipy.fft
+            rng = np.random.default_rng(0)
+            x = (rng.standard_normal((_ACA_PROBES, n))
+                 + 1j * rng.standard_normal((_ACA_PROBES, n))) / math.sqrt(2.0)
+            # (H x)_i = sum_j h[i + j] x_j, a correlation that does not wrap
+            # at a length of at least 2n - 1
+            size = scipy.fft.next_fast_len(2 * n - 1)
+            hx = scipy.fft.fft(x.conj(), size).conj()
+            hx *= scipy.fft.fft(h, size)
+            hx = scipy.fft.ifft(hx, overwrite_x=True)[:, :n]
+        ex = hx - (x @ vs[:q].T) @ us[:q]
+        if np.max(np.einsum("ij,ij->i", ex, ex.conj()).real) \
+                <= _ACA_PROBE_TOL * _ACA_PROBE_TOL * norm2:
             break
-        i = int(np.argmax(np.where(free, np.abs(us[q - 1]), -1.0)))
+        i = int(np.argmax(np.where(free, np.abs(ex).max(axis=0), -1.0)))
+        small = 0
     else:
         return None
     return us[:q], vs[:q]
 
 
-def _step(cfg: PropagatorConfig, step_index: int, prev=None):
+def _step(cfg: PropagatorConfig, step_index: int):
     """Step i of cfg: step @ psi is T psi, a new array, for T =
     step_matrix(cfg, i).
 
@@ -314,10 +359,10 @@ def _step(cfg: PropagatorConfig, step_index: int, prev=None):
     otherwise of the rank r that _aca finds for the Hankel factor
     e^{-i eps (V - fit) / hbar}.  The dense matrix itself when V is not
     finite at some midpoint (a hard wall makes that factor an indicator,
-    of full rank) or when the rank-r arrays, about 16 r (L + 2 sites)
-    bytes, would not be smaller than its 16 sites^2 (_max_rank).  prev,
-    the step before in the same sweep, lends its chirp to a step with the
-    same (c1, c2).
+    of full rank), and when the rank-r arrays, about 16 r (L + 2 sites)
+    bytes, would not be smaller than its 16 sites^2 or the rank-r step,
+    built once and applied k times (once if V depends on time), would
+    take longer than the matrix (_max_rank): then _aca stops at that rank.
 
     Raises TooLarge before V is evaluated when even the rank-1 arrays at
     their least padded length would exceed _DENSE_GUARD bytes, and
@@ -333,7 +378,7 @@ def _step(cfg: PropagatorConfig, step_index: int, prev=None):
     phase_per_v = eps / hbar
     worst = np.max(np.abs(resid))
     if phase_per_v == 0 or worst <= _FIT_PHASE_TOL / phase_per_v:
-        return _FftStep(cfg, fit, None, prev)
+        return _FftStep(cfg, fit, None)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = eps * resid / hbar
     if not np.all(np.isfinite(phase)):
@@ -341,11 +386,12 @@ def _step(cfg: PropagatorConfig, step_index: int, prev=None):
             f"the step phase eps (V - fit) / hbar of step {step_index} is not "
             f"finite at eps = {eps!r}, hbar = {hbar!r}")
     import scipy.fft
-    factors = _aca(np.exp(-1j * phase),
-                   _max_rank(n, scipy.fft.next_fast_len(2 * n - 1)))
+    applies = 1 if cfg.lag.time_dependent else cfg.grid.k
+    factors = _aca(np.exp(-1j * phase), _max_rank(
+        n, scipy.fft.next_fast_len(2 * n - 1), applies))
     if factors is None:
         return step_matrix(cfg, step_index)
-    return _FftStep(cfg, fit, factors, prev)
+    return _FftStep(cfg, fit, factors)
 
 
 class _FftStep:
@@ -372,9 +418,6 @@ class _FftStep:
     applied twice at once.
     The reused buffer keeps a step's cost independent of the state of the
     heap, where fresh L-long arrays on every step may be faulted in anew.
-    A step built with prev, a step of the same sweep with bitwise equal
-    (c1, c2), shares its g_hat, D and work buffer, and builds only the
-    factors and the c0 scale.
 
     The transform is scipy.fft, imported here, so that a run with dense
     steps only loads no scipy: numpy.fft gives the same bits but measured
@@ -383,7 +426,7 @@ class _FftStep:
     would exceed _DENSE_GUARD bytes.
     """
 
-    def __init__(self, cfg: PropagatorConfig, fit, factors, prev=None):
+    def __init__(self, cfg: PropagatorConfig, fit, factors):
         import scipy.fft
         n = cfg.space.sites
         size = scipy.fft.next_fast_len(2 * n - 1)
@@ -391,19 +434,15 @@ class _FftStep:
         guard_bytes(_fft_bytes(n, size, rank), f"a {n}-site step operator")
         eps, hbar = cfg.grid.epsilon, cfg.hbar
         c0, c1, c2 = fit
+        chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
         self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft
-        self._chirp_key = np.array([c1, c2]).tobytes()
-        if isinstance(prev, _FftStep) and prev._chirp_key == self._chirp_key:
-            self._g_hat, self._d_in = prev._g_hat, prev._d_in
-        else:
-            chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
-            g = np.zeros(size, dtype=complex)
-            d = cfg.space.dx * np.arange(n)
-            g[:n] = np.exp(1j * chirp * d * d / hbar)
-            g[size - n + 1:] = g[n - 1:0:-1]
-            self._g_hat = self._fft(g, overwrite_x=True)
-            x = cfg.space.points()
-            self._d_in = np.exp(-1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
+        g = np.zeros(size, dtype=complex)
+        d = cfg.space.dx * np.arange(n)
+        g[:n] = np.exp(1j * chirp * d * d / hbar)
+        g[size - n + 1:] = g[n - 1:0:-1]
+        self._g_hat = self._fft(g, overwrite_x=True)
+        x = cfg.space.points()
+        self._d_in = np.exp(-1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
         scale = cfg.norm_per_step * cfg.space.dx
         self._d_out = scale * np.exp(-1j * eps * c0 / hbar) * self._d_in
         # rank 1 keeps 1-D arrays: (1, L) ones made the CLI's default
@@ -414,11 +453,8 @@ class _FftStep:
         else:
             self._u_out = factors[0] * self._d_out
             self._v_in = factors[1] * self._d_in
-        shape = (size,) if rank == 1 else (rank, size)
-        if isinstance(prev, _FftStep) and prev._work.shape == shape:
-            self._work = prev._work
-        else:
-            self._work = np.empty(shape, dtype=complex)
+        self._work = np.empty((size,) if rank == 1 else (rank, size),
+                              dtype=complex)
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
         n, w = self._d_in.size, self._work
@@ -438,8 +474,7 @@ class Sweep:
     Building it builds step 1, so the size guard refuses a grid before the
     caller makes anything grid-sized.  A time-independent potential reuses
     that build for every step of every call, so that the sweeps of one
-    configuration share it; a time-dependent one builds step i at step i
-    from step i - 1, whose chirp it may share.
+    configuration share it; a time-dependent one builds step i at step i.
     """
 
     def __init__(self, cfg: PropagatorConfig):
@@ -452,7 +487,7 @@ class Sweep:
         states = [psi]
         for i in range(1, self.cfg.grid.k + 1):
             if i > 1 and self.cfg.lag.time_dependent:
-                step = _step(self.cfg, i, step)
+                step = _step(self.cfg, i)
             psi = step @ psi
             if keep:
                 states.append(psi)

@@ -205,17 +205,37 @@ def _anharmonic_lags():
     return quartic, double_well, td_quartic
 
 
+def _localized_lags(space):
+    # a Gaussian barrier 3 dx wide, 10 dx from the upper edge, and a finite
+    # step over the first three midpoints: features in a corner of the
+    # Hankel factor, which the pivots of ACA alone have missed
+    lo, hi, dx = space.lo, space.hi, space.dx
+    barrier = LagrangianSpec(
+        mass=1.0, label="edge barrier", potential=lambda r, t: 0.1 * r ** 4
+        + 5.0 * np.exp(-0.5 * ((r - (hi - 10.0 * dx)) / (3.0 * dx)) ** 2))
+    step = LagrangianSpec(
+        mass=1.0, label="corner step",
+        potential=lambda r, t: 0.1 * r ** 4 + 5.0 * (r < lo + 1.25 * dx))
+    return barrier, step
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.25, 0.0625])
 def test_low_rank_step_matches_dense_sweep(monkeypatch, hbar):
     # the gate that _ACA_TOL is tied to: on recipe grids of about 1,000
     # sites every step is a low-rank FFT step, and the sweep matches the
-    # dense steps within 1e-12, max-norm relative
+    # dense steps within 1e-12, max-norm relative; the cost rule would pick
+    # the dense steps at these ranks, so it is lifted here
     builds = _count_builds(monkeypatch)
+    monkeypatch.setattr(propagator, "_max_rank", lambda sites, size, applies: sites)
     rng = np.random.default_rng(int(1 / hbar))
+    cases = []
     for lag in _anharmonic_lags():
         a = float(rng.uniform(-0.2, 0.2))
         b = a + float(rng.uniform(0.3, 0.7))
-        grid, space, width = convergence_recipe(lag, hbar, 1.0, a, b, k=8)
+        cases.append((lag, a, b) + convergence_recipe(lag, hbar, 1.0, a, b, k=8))
+    _, a, b, grid, space, width = cases[0]
+    cases += [(lag, a, b, grid, space, width) for lag in _localized_lags(space)]
+    for lag, a, b, grid, space, width in cases:
         cfg = PropagatorConfig(grid=grid, space=space, lag=lag, hbar=hbar,
                                a=a, b=b)
         psi = gaussian_window(space.points(), a, width, b - a, hbar)
@@ -228,9 +248,46 @@ def test_low_rank_step_matches_dense_sweep(monkeypatch, hbar):
             lag.label
 
 
+def test_cost_rule_caps_the_cross_approximation(monkeypatch):
+    # ACA stops at the rank where the low-rank step would take longer than
+    # the dense one: a V of high rank falls back to the dense matrix after
+    # at most that many terms, while the quartic on a k = 24 recipe grid of
+    # about 3,000 sites keeps a low-rank step
+    import scipy.fft
+    calls = []
+    aca = propagator._aca
+
+    def recorded(h, max_rank):
+        calls.append((max_rank, aca(h, max_rank)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(propagator, "_aca", recorded)
+    builds = _count_builds(monkeypatch)
+    steep = LagrangianSpec(mass=1.0, potential=lambda r, t: 5.0 * r ** 4,
+                           label="steep quartic")
+    grid, space, width = convergence_recipe(steep, 1.0, 1.0, 0.0, 0.5, k=8)
+    cfg = PropagatorConfig(grid=grid, space=space, lag=steep, hbar=1.0,
+                           a=0.0, b=0.5)
+    psi = gaussian_window(space.points(), 0.0, width, 0.5, 1.0)
+    got = Sweep(cfg)(psi)
+    (cap, factors), = calls
+    size = scipy.fft.next_fast_len(2 * space.sites - 1)
+    assert cap == propagator._max_rank(space.sites, size, grid.k)
+    assert factors is None and 0 < cap < space.sites // 20
+    assert len(builds) == 1
+    assert np.array_equal(got, _dense_sweep(cfg, psi))
+    calls.clear()
+    quartic = _anharmonic_lags()[0]
+    grid, space, _ = convergence_recipe(quartic, 1.0, 1.0, 0.0, 0.5, k=24)
+    op = propagator._step(PropagatorConfig(grid=grid, space=space, lag=quartic,
+                                           hbar=1.0, a=0.0, b=0.5), 1)
+    (cap, _), = calls
+    assert 1 < op.rank < cap
+
+
 def test_size_rule_picks_dense_on_a_small_grid(monkeypatch):
-    # on 12 sites the step arrays beat the 12 x 12 matrix only up to rank 2,
-    # and each of these Hankel factors on [-3, 3] needs more
+    # on 12 sites no rank's step arrays, with the probes of the cross
+    # approximation, are smaller than the 12 x 12 matrix
     builds = _count_builds(monkeypatch)
     for lag in _anharmonic_lags():
         cfg = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 4),
@@ -313,38 +370,6 @@ def test_rank_one_step_bits_match_hand_written_fft_apply():
                 assert np.array_equal(op @ psi, want), (lag.label, sites, i)
 
 
-def test_time_dependent_sweep_reuses_the_chirp(monkeypatch):
-    # td_harmonic's fit has the same (c1, c2), to the bit, at some
-    # consecutive steps: those share g_hat and D and only rescale by c0,
-    # and the sweep keeps the bits of steps built on their own
-    built = []
-    build = propagator._step
-
-    def recorded(*args):
-        built.append(build(*args))
-        return built[-1]
-
-    monkeypatch.setattr(propagator, "_step", recorded)
-    lag = LagrangianSpec(mass=1.0, time_dependent=True, label="td harmonic",
-                         potential=lambda r, t: 0.5 * r * r + 0.7 * np.sin(3.0 * t))
-    grid, space, width = convergence_recipe(lag, 1.0, 1.0, 0.03, 0.5, k=16)
-    cfg = PropagatorConfig(grid=grid, space=space, lag=lag, hbar=1.0,
-                           a=0.03, b=0.5)
-    psi = gaussian_window(space.points(), 0.03, width, 0.47, 1.0)
-    got = Sweep(cfg)(psi)
-    shared = 0
-    for prev, op in zip(built, built[1:]):
-        same = prev._chirp_key == op._chirp_key
-        assert (op._g_hat is prev._g_hat) == same
-        assert (op._d_in is prev._d_in) == same
-        shared += same
-    assert shared > 0
-    want = psi
-    for i in range(1, grid.k + 1):
-        want = build(cfg, i) @ want
-    assert np.array_equal(got, want)
-
-
 def test_sweep_keep_returns_distinct_arrays():
     for lag in _quadratic_lags()[:2]:
         cfg = _small_cfg(lag, k=5, sites=64)
@@ -363,9 +388,9 @@ def _count_steps(monkeypatch):
     steps = []
     build = propagator._step
 
-    def counted(cfg, step_index, *prev):
+    def counted(cfg, step_index):
         steps.append(step_index)
-        return build(cfg, step_index, *prev)
+        return build(cfg, step_index)
 
     monkeypatch.setattr(propagator, "_step", counted)
     return steps
