@@ -47,8 +47,6 @@ def phase_from_count(sample: WaveSample) -> Amplitude:
     The winding is reduced to its fractional part first (exact in floating
     point), so integer windings return exactly (A, 0).
     """
-    if sample.modulus < 0:
-        raise NegativeModulus(f"modulus {sample.modulus} < 0")
     frac = sample.winding - math.floor(sample.winding)
     if frac == 0.0:
         return Amplitude(sample.modulus, 0.0)

@@ -24,11 +24,11 @@ case r = 1; a quartic on a 2,986-site recipe grid has r = 33.  The dense
 matrix, built from 3*sites exponentials and applied with BLAS in
 O(sites^2) time and 16 * sites^2 bytes, is kept for a V that is not finite
 at some midpoint (a hard wall makes the Hankel factor an indicator, of
-full rank) and for ranks whose arrays would not be smaller than it, as on
-small grids, or whose build and products are measured to take longer than
-its own; the cross approximation stops at that rank, so a V of high rank
-costs about two dense builds.  A Sweep builds step 1 when it is made,
-under one size guard for both, and reuses it for every step when V is
+full rank) and for ranks whose build and products are measured to take
+longer than its own, as every rank does on small grids; the cross
+approximation stops at that rank, so a V of high rank costs about two
+dense builds.  Either step's arrays are held to one size guard.  A Sweep
+builds step 1 when it is made and reuses it for every step when V is
 time-independent.
 
 Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
@@ -201,15 +201,14 @@ def _fft_bytes(sites, size, rank=1):
 
 
 def _max_rank(sites, size, applies):
-    """The largest rank whose FFT step arrays, with the probes of _aca, of
-    about the size of _ACA_PROBES more ranks, are smaller than the dense
-    sites x sites matrix and within _DENSE_GUARD bytes and, when that
-    matrix is within the guard, whose cross approximation and `applies`
-    products take less time than the matrix's build and as many
-    products."""
-    room = (min(16 * sites * sites - 1, _DENSE_GUARD)
-            - _fft_bytes(sites, size, _ACA_PROBES))
-    rank = room // (16 * (size + 2 * sites))
+    """The largest rank whose FFT step arrays at padded length size, with
+    the probes of _aca, of about the size of _ACA_PROBES more ranks, are
+    within _DENSE_GUARD bytes and, when the dense sites x sites matrix is
+    within the guard too, whose cross approximation and `applies` products
+    take less time than the matrix's build and as many products.  On
+    grids of up to 60 to 107 sites, by applies, that is no rank."""
+    per_rank = _fft_bytes(sites, size, 1) - _fft_bytes(sites, size, 0)
+    rank = (_DENSE_GUARD - _fft_bytes(sites, size, _ACA_PROBES)) // per_rank
     if 16 * sites * sites <= _DENSE_GUARD:
         # per apply, in ns, measured at 500-6,000 sites (2-core x86, numpy
         # 2.4.6, scipy 1.17.1): rank r takes 4e4 r + 0.9 r^2 sites to
@@ -282,10 +281,11 @@ def _quadratic_fit(r: np.ndarray, v: np.ndarray):
     return (c0, c1, c2), v - (c0 + (c1 + c2 * r) * r)
 
 
-def _aca(h: np.ndarray, max_rank: int):
+def _aca(h: np.ndarray, max_rank: int, size: int):
     """(U, V), rank x sites arrays with sum_q U[q, i] V[q, j] equal to the
     Hankel matrix H[i, j] = h[i + j] to about _ACA_TOL of its Frobenius
-    norm, or None when that takes more than max_rank terms.
+    norm, which is sites as every |h[s]| = 1, or None when that takes more
+    than max_rank terms.
 
     Partially pivoted adaptive cross approximation (Bebendorf, Numer.
     Math. 86, 565 (2000)): each term is a residual row and column of H,
@@ -294,14 +294,15 @@ def _aca(h: np.ndarray, max_rank: int):
     as a finite step at the first few midpoints, so a stop is checked by
     probing: for _ACA_PROBES seeded random vectors x with E|x_j|^2 = 1,
     whose |E x|^2 has the mean |E|_F^2 for the residual E, E x must be
-    within the tolerance too (H x by FFT, once, at the first stop).  Where
-    it is not, the row of its largest entry is the next pivot.
+    within the tolerance too (H x by FFT at padded length size, at least
+    2 sites - 1, once, at the first stop).  Where it is not, the row of
+    its largest entry is the next pivot.
     """
     n = (h.size + 1) // 2
     x = None
     us = vs = np.empty((0, n), dtype=complex)
     free = np.ones(n, dtype=bool)  # rows not yet pivoted on
-    norm2 = 0.0  # squared Frobenius norm of the approximation so far
+    norm2 = n * n  # squared Frobenius norm of H
     i = q = small = 0
     while q < max_rank:
         free[i] = False
@@ -320,9 +321,6 @@ def _aca(h: np.ndarray, max_rank: int):
         us[q] = h[j:j + n] - vs[:q, j] @ us[:q]
         uu = np.vdot(us[q], us[q]).real
         vv = np.vdot(vs[q], vs[q]).real
-        # |S + u v^T|^2 = |S|^2 + 2 Re <S, u v^T> + |u|^2 |v|^2
-        norm2 += uu * vv + 2.0 * np.dot(us[:q] @ us[q].conj(),
-                                        vs[:q] @ vs[q].conj()).real
         q += 1
         small = small + 1 if uu * vv <= _ACA_TOL * _ACA_TOL * norm2 else 0
         if small < 2:
@@ -335,7 +333,6 @@ def _aca(h: np.ndarray, max_rank: int):
                  + 1j * rng.standard_normal((_ACA_PROBES, n))) / math.sqrt(2.0)
             # (H x)_i = sum_j h[i + j] x_j, a correlation that does not wrap
             # at a length of at least 2n - 1
-            size = scipy.fft.next_fast_len(2 * n - 1)
             hx = scipy.fft.fft(x.conj(), size).conj()
             hx *= scipy.fft.fft(h, size)
             hx = scipy.fft.ifft(hx, overwrite_x=True)[:, :n]
@@ -357,12 +354,14 @@ def _step(cfg: PropagatorConfig, step_index: int):
     An _FftStep of rank 1 when V at the 2*sites - 1 midpoints is
     c0 + c1 r + c2 r^2 to within _FIT_PHASE_TOL of step phase, and
     otherwise of the rank r that _aca finds for the Hankel factor
-    e^{-i eps (V - fit) / hbar}.  The dense matrix itself when V is not
+    e^{-i eps (V - fit) / hbar}; both transform at the one padded length
+    L = next_fast_len(2 sites - 1).  The dense matrix itself when V is not
     finite at some midpoint (a hard wall makes that factor an indicator,
-    of full rank), and when the rank-r arrays, about 16 r (L + 2 sites)
-    bytes, would not be smaller than its 16 sites^2 or the rank-r step,
-    built once and applied k times (once if V depends on time), would
-    take longer than the matrix (_max_rank): then _aca stops at that rank.
+    of full rank), and when the rank-r step, built once and applied k
+    times (once if V depends on time), would take longer than the matrix,
+    as every rank would on small grids, or its arrays, about
+    16 r (L + 2 sites) bytes, would exceed _DENSE_GUARD (_max_rank): then
+    _aca stops at that rank.
 
     Raises TooLarge before V is evaluated when even the rank-1 arrays at
     their least padded length would exceed _DENSE_GUARD bytes, and
@@ -373,25 +372,23 @@ def _step(cfg: PropagatorConfig, step_index: int):
     r, v = _midpoint_potential(cfg, step_index)
     if not np.all(np.isfinite(v)):
         return step_matrix(cfg, step_index)
-    fit, resid = _quadratic_fit(r, v)
+    import scipy.fft
+    size = scipy.fft.next_fast_len(2 * n - 1)
     eps, hbar = cfg.grid.epsilon, cfg.hbar
-    phase_per_v = eps / hbar
-    worst = np.max(np.abs(resid))
-    if phase_per_v == 0 or worst <= _FIT_PHASE_TOL / phase_per_v:
-        return _FftStep(cfg, fit, None)
     with np.errstate(over="ignore", invalid="ignore"):
+        fit, resid = _quadratic_fit(r, v)
         phase = eps * resid / hbar
     if not np.all(np.isfinite(phase)):
         raise InvalidParameter(
             f"the step phase eps (V - fit) / hbar of step {step_index} is not "
             f"finite at eps = {eps!r}, hbar = {hbar!r}")
-    import scipy.fft
+    if np.max(np.abs(phase)) <= _FIT_PHASE_TOL:
+        return _FftStep(cfg, fit, None, size)
     applies = 1 if cfg.lag.time_dependent else cfg.grid.k
-    factors = _aca(np.exp(-1j * phase), _max_rank(
-        n, scipy.fft.next_fast_len(2 * n - 1), applies))
+    factors = _aca(np.exp(-1j * phase), _max_rank(n, size, applies), size)
     if factors is None:
         return step_matrix(cfg, step_index)
-    return _FftStep(cfg, fit, factors)
+    return _FftStep(cfg, fit, factors, size)
 
 
 class _FftStep:
@@ -408,8 +405,8 @@ class _FftStep:
 
         T psi = sum_q scale D U[q] * ifft(g_hat * fft(D V[q] psi)),
 
-    r Toeplitz products with g by circulant embedding at padded length L,
-    with no sites x sites array.
+    r Toeplitz products with g by circulant embedding at padded length
+    L = size, at least 2 sites - 1, with no sites x sites array.
 
     It owns one complex r x L work buffer (of length L at r = 1), and @
     runs both transforms in it in place (scipy's overwrite_x gives the
@@ -419,17 +416,16 @@ class _FftStep:
     The reused buffer keeps a step's cost independent of the state of the
     heap, where fresh L-long arrays on every step may be faulted in anew.
 
-    The transform is scipy.fft, imported here, so that a run with dense
-    steps only loads no scipy: numpy.fft gives the same bits but measured
-    8-14% slower at L = 2,000-8,064 (numpy 2.4.6, also with out=).  Raises
-    TooLarge, before allocating, when the arrays at the padded length
-    would exceed _DENSE_GUARD bytes.
+    The transform is scipy.fft, which _step imports only for a finite V,
+    so that a run with dense steps only loads no scipy: numpy.fft gives
+    the same bits but measured 8-14% slower at L = 2,000-8,064 (numpy
+    2.4.6, also with out=).  Raises TooLarge, before allocating, when the
+    arrays at the padded length would exceed _DENSE_GUARD bytes.
     """
 
-    def __init__(self, cfg: PropagatorConfig, fit, factors):
+    def __init__(self, cfg: PropagatorConfig, fit, factors, size):
         import scipy.fft
         n = cfg.space.sites
-        size = scipy.fft.next_fast_len(2 * n - 1)
         rank = 1 if factors is None else len(factors[0])
         guard_bytes(_fft_bytes(n, size, rank), f"a {n}-site step operator")
         eps, hbar = cfg.grid.epsilon, cfg.hbar

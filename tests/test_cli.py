@@ -270,12 +270,15 @@ def test_overflowing_site_counts_exit_3(tmp_path, monkeypatch, capsys, text):
     "t_total = 1e300\n",
     "experiment = propagator_convergence\nfamily = harmonic\nomega = 1e-150\n"
     "t_total = 1e300\nb = -1e-10\nk = 4\n",
+    "experiment = propagator_convergence\nfamily = harmonic\n"
+    "hbar = 5.761205994978716e+300\nb = -3.3176892529065517e-100\n"
+    "mass = 9.020023044573383\nk = 3\n",
 ])
 def test_products_out_of_float_range_are_refused(tmp_path, capsys, text):
     # omega ** 2 overflows; hbar * t_total, the time step, the oracle's
     # window determinant, 2 pi hbar eps and mass * slit_separation
     # underflow to 0; the Newton Hessian overflows; the harmonic oracle
-    # underflows to 0
+    # underflows to 0; the step's quadratic fit overflows
     cfgf = _write(tmp_path, "x.cfg", text)
     assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) in (2, 3)
     assert capsys.readouterr().err.startswith("cardpath: ")
@@ -332,6 +335,15 @@ def test_interference_sites_below_two_exit_2(tmp_path):
     for sites in (1, -5):
         cfgf = _write(tmp_path, "s.cfg", f"experiment = interference\nsites = {sites}\n")
         assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 2
+
+
+def test_interference_too_coarse_grid_exit_2(tmp_path, capsys):
+    cfgf = _write(tmp_path, "s.cfg", "experiment = interference\nsites = 3\n")
+    out = tmp_path / "o"
+    assert run(cfgf, out_dir=str(out), quiet=True) == 2
+    err = capsys.readouterr().err
+    assert "too coarse" in err and "need at least 535" in err
+    assert not out.exists()
 
 
 def test_mapping_support_of_infinite_width_exit_3(tmp_path, capsys):

@@ -257,9 +257,9 @@ def test_cost_rule_caps_the_cross_approximation(monkeypatch):
     calls = []
     aca = propagator._aca
 
-    def recorded(h, max_rank):
-        calls.append((max_rank, aca(h, max_rank)))
-        return calls[-1][1]
+    def recorded(h, max_rank, size):
+        calls.append((max_rank, size, aca(h, max_rank, size)))
+        return calls[-1][2]
 
     monkeypatch.setattr(propagator, "_aca", recorded)
     builds = _count_builds(monkeypatch)
@@ -270,8 +270,8 @@ def test_cost_rule_caps_the_cross_approximation(monkeypatch):
                            a=0.0, b=0.5)
     psi = gaussian_window(space.points(), 0.0, width, 0.5, 1.0)
     got = Sweep(cfg)(psi)
-    (cap, factors), = calls
-    size = scipy.fft.next_fast_len(2 * space.sites - 1)
+    (cap, size, factors), = calls
+    assert size == scipy.fft.next_fast_len(2 * space.sites - 1)
     assert cap == propagator._max_rank(space.sites, size, grid.k)
     assert factors is None and 0 < cap < space.sites // 20
     assert len(builds) == 1
@@ -281,13 +281,24 @@ def test_cost_rule_caps_the_cross_approximation(monkeypatch):
     grid, space, _ = convergence_recipe(quartic, 1.0, 1.0, 0.0, 0.5, k=24)
     op = propagator._step(PropagatorConfig(grid=grid, space=space, lag=quartic,
                                            hbar=1.0, a=0.0, b=0.5), 1)
-    (cap, _), = calls
+    (cap, _, _), = calls
     assert 1 < op.rank < cap
 
 
-def test_size_rule_picks_dense_on_a_small_grid(monkeypatch):
-    # on 12 sites no rank's step arrays, with the probes of the cross
-    # approximation, are smaller than the 12 x 12 matrix
+def test_aca_skips_rows_that_are_already_exact():
+    # H[i, j] = (-1)^(i + j) has rank 1: after the first term every other
+    # row's residual is exactly 0, so no pivot is found in it
+    import scipy.fft
+    n = 50
+    h = ((-1.0) ** np.arange(2 * n - 1)).astype(complex)
+    u, v = propagator._aca(h, 20, scipy.fft.next_fast_len(2 * n - 1))
+    assert len(u) == 1
+    assert np.array_equal(u.T @ v, h[np.add.outer(np.arange(n), np.arange(n))])
+
+
+def test_cost_rule_picks_dense_on_a_small_grid(monkeypatch):
+    # on 12 sites any rank's cross approximation and products are measured
+    # to take longer than the 12 x 12 matrix's build and products
     builds = _count_builds(monkeypatch)
     for lag in _anharmonic_lags():
         cfg = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 4),
