@@ -41,11 +41,11 @@ so the value has the same bits on any number of CPUs.  V is evaluated on
 the calling thread before the blocks start.
 
 The Euclidean Monte Carlo draws k - 1 normals per sample, in chunks of
-4096 samples with one seed each.  Blocks of _MC_BLOCK chunks run on the
-process's CPUs, one thread each, each block updating its own arrays in
-place.  The chunk sums are combined in chunk order, so the estimate and
-its stderr have the same bits on any number of CPUs.  The potential is
-called from several threads at once, so it must be pure.
+_MC_CHUNK samples with one seed each.  Each chunk is one job on the
+process's CPUs, one thread each, and the chunks' weight sums are added in
+chunk order, so the estimate and its stderr have the same bits on any
+number of CPUs.  The potential is called from several threads at once, so
+it must be pure.
 
 Grid stability (the convergence recipe).  The all-pairs step matrix is a
 sampled Fresnel chirp; if the phase between the farthest site pair advances
@@ -93,8 +93,7 @@ RECIPE_SOURCE_WIDTH_FACTOR = 0.4
 _ENUM_GUARD = 10 ** 7
 _DENSE_GUARD = 1 << 30  # bytes of one step operator: its dense matrix or FFT arrays
 _ENUM_CHUNK = 1 << 16
-_MC_CHUNK = 4096
-_MC_BLOCK = 8  # Monte Carlo chunks per pool job; 4 to 16 time the same
+_MC_CHUNK = 1 << 15  # Monte Carlo samples per seed and per pool job
 # A quadratic fit to V within this step phase (rad) makes the FFT step
 # agree with the dense matrix to rounding.
 _FIT_PHASE_TOL = 1e-12
@@ -420,7 +419,8 @@ class _FftStep:
     so that a run with dense steps only loads no scipy: numpy.fft gives
     the same bits but measured 8-14% slower at L = 2,000-8,064 (numpy
     2.4.6, also with out=).  Raises TooLarge, before allocating, when the
-    arrays at the padded length would exceed _DENSE_GUARD bytes.
+    arrays at the padded length would exceed _DENSE_GUARD bytes, and
+    InvalidParameter when the phase of g is not finite.
     """
 
     def __init__(self, cfg: PropagatorConfig, fit, factors, size):
@@ -432,9 +432,15 @@ class _FftStep:
         c0, c1, c2 = fit
         chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
         self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft
-        g = np.zeros(size, dtype=complex)
         d = cfg.space.dx * np.arange(n)
-        g[:n] = np.exp(1j * chirp * d * d / hbar)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = chirp * d * d / hbar
+        if not np.all(np.isfinite(phase)):
+            raise InvalidParameter(
+                f"the kinetic step phase is not finite at eps = {eps!r}, "
+                f"hbar = {hbar!r}")
+        g = np.zeros(size, dtype=complex)
+        g[:n] = np.exp(1j * phase)
         g[size - n + 1:] = g[n - 1:0:-1]
         self._g_hat = self._fft(g, overwrite_x=True)
         x = cfg.space.points()
@@ -493,8 +499,9 @@ class Sweep:
 def gaussian_window(x: np.ndarray, center: float, width: float,
                     momentum: float, hbar: float) -> np.ndarray:
     """Unit-weight Gaussian window with a momentum boost."""
-    g = np.exp(-(x - center) ** 2 / (2.0 * width * width)) \
-        / math.sqrt(2.0 * math.pi * width * width)
+    with np.errstate(over="ignore"):  # a square past float range weighs 0
+        g = np.exp(-(x - center) ** 2 / (2.0 * width * width)) \
+            / math.sqrt(2.0 * math.pi * width * width)
     return g * np.exp(1j * momentum * x / hbar)
 
 
@@ -545,17 +552,17 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _ordered_map(fn, jobs):
-    """fn(job) for each job, on a pool of min(_workers(), len(jobs))
-    threads, yielded in job order.
+def _ordered_sum(fn, jobs):
+    """The sum of fn(job) over the jobs, added in job order; the jobs run
+    on a pool of min(_workers(), len(jobs)) threads.
 
     The work must be numpy calls that release the interpreter lock for the
-    pool to gain anything.  Callers that add up what it yields in job order
-    get the same bits on any number of CPUs.
+    pool to gain anything.  The results are added in job order, not in the
+    order they finish, so the sum has the same bits on any number of CPUs.
     """
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=min(_workers(), len(jobs))) as pool:
-        yield from pool.map(fn, jobs)
+        return sum(pool.map(fn, jobs))
 
 
 def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
@@ -595,36 +602,31 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
         vm = cfg.lag.v(0.5 * (r1 + r0), tmids[i - 1])
         return (0.5 * mass * drv * drv - vm) * eps
 
-    def weight(S):
+    xa, xb = x[ja:ja + 1], x[jb:jb + 1]
+    # steps[i - 1][p, q]: action of step i from site p to site q, where
+    # step 1 leaves a and step k enters b, each as index 0
+    steps = [step_action(i, (xa if i == 1 else x)[:, None],
+                         (xb if i == k else x)[None, :])
+             for i in range(1, k + 1)]
+    fast = 1
+    while fast < n_int and sites ** (fast + 1) <= _ENUM_CHUNK:
+        fast += 1
+    # head[j_1, .., j_fast]: actions of steps 1 .. fast
+    head = steps[0][0]
+    for step in steps[1:fast]:
+        head = head[..., None] + step
+
+    def block_weight(rest):
+        # rest: the sites j_{fast+1} .. j_k of one block, j_k being b's 0
+        S, prev = head, slice(None)
+        for step, j in zip(steps[fast:], rest):
+            S = S + step[prev, j]
+            prev = j
         return np.sum(np.exp(1j * S[np.isfinite(S)] / hbar))
 
-    xa, xb = x[ja:ja + 1], x[jb:jb + 1]
-    if n_int == 0:
-        acc = weight(step_action(1, xa, xb))
-    else:
-        # pairs[i - 2][p, q]: action of step i from site p to site q
-        pairs = [step_action(i, x[:, None], x[None, :]) for i in range(2, k)]
-        last = step_action(k, x, xb)
-        fast = 1
-        while fast < n_int and sites ** (fast + 1) <= _ENUM_CHUNK:
-            fast += 1
-        # head[j_1, .., j_fast]: actions of steps 1 .. fast
-        head = step_action(1, xa, x)
-        for block in pairs[:fast - 1]:
-            head = head[..., None] + block
-        if fast == n_int:
-            acc = weight(head + last)
-        else:
-            def block_weight(slow):
-                S = head + pairs[fast - 1][:, slow[0]]
-                for i in range(1, len(slow)):
-                    S = S + pairs[fast - 1 + i][slow[i - 1], slow[i]]
-                return weight(S + last[slow[-1]])
-
-            acc = 0.0 + 0.0j
-            blocks = list(itertools.product(range(sites), repeat=n_int - fast))
-            for w in _ordered_map(block_weight, blocks):
-                acc += w
+    sizes = [sites] * n_int + [1]
+    blocks = list(itertools.product(*map(range, sizes[fast:])))
+    acc = _ordered_sum(block_weight, blocks)
     value = (cfg.norm_per_step ** k) * (dx ** n_int) * acc
     return PropagatorResult(
         value=Amplitude.from_complex(complex(value)), method="enumeration",
@@ -642,16 +644,13 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     V = 0 it is exact with zero variance.
 
     The samples come in chunks of _MC_CHUNK, each drawn from its own
-    SeedSequence child.  Blocks of _MC_BLOCK chunks run on a thread pool
-    with one thread per CPU of the process (numpy's normal draws and array
-    loops release the interpreter lock).  A block allocates its arrays
-    once, at its width, draws each chunk's normals into that chunk's slice
-    and updates the bridge in place, in the operation order of one chunk
-    at a time, so every sample keeps its bits.  Each chunk's weight sums
-    are added in chunk order, so the estimate and its stderr are bitwise
-    reproducible and do not depend on the number of threads.  The
-    potential is called from several threads at once and must be a pure,
-    elementwise function.
+    SeedSequence child, and each chunk is one job on a thread pool with
+    one thread per CPU of the process (numpy's normal draws and array
+    loops release the interpreter lock).  A job allocates its arrays once
+    and updates the bridge in place.  The chunks' weight sums are added in
+    chunk order, so the estimate and its stderr are bitwise reproducible
+    and do not depend on the number of threads.  The potential is called
+    from several threads at once and must be a pure, elementwise function.
     """
     if not (isinstance(samples, numbers.Integral) and samples >= 100):
         raise InvalidParameter(
@@ -676,19 +675,15 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
         bridge.append((tau_rest, tau_rest + eps, math.sqrt(var)))
     eps_b, eps_over_hbar = eps * cfg.b, eps / hbar
 
-    def block_sums(first):
-        chunks = range(first, min(first + _MC_BLOCK, n_chunks))
-        width = min(len(chunks) * _MC_CHUNK, samples - first * _MC_CHUNK)
-        rngs = [np.random.default_rng(children[c]) for c in chunks]
-        slices = [slice(j * _MC_CHUNK, (j + 1) * _MC_CHUNK)
-                  for j in range(len(chunks))]
-        prev, cur = np.full(width, cfg.a), np.empty(width)
-        mid, z, logw = np.empty(width), np.empty(width), np.zeros(width)
+    def chunk_sums(c):
+        n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
+        rng = np.random.default_rng(children[c])
+        prev, cur = np.full(n, cfg.a), np.empty(n)
+        mid, z, logw = np.empty(n), np.empty(n), np.zeros(n)
         for i in range(1, k + 1):
             if i < k:
                 tau_rest, denom, sd = bridge[i - 1]
-                for rng, s in zip(rngs, slices):
-                    rng.standard_normal(out=z[s])
+                rng.standard_normal(out=z)
                 np.multiply(prev, tau_rest, out=cur)
                 cur += eps_b
                 cur /= denom
@@ -701,14 +696,9 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
             logw -= eps_over_hbar * cfg.lag.v(mid, tmids[i - 1])
             prev, cur = cur, prev
         w = np.where(np.isfinite(logw), np.exp(logw), 0.0)
-        return [(float(w[s].sum()), float((w[s] * w[s]).sum())) for s in slices]
+        return np.array([w.sum(), (w * w).sum()])
 
-    sum_w = 0.0
-    sum_w2 = 0.0
-    for sums in _ordered_map(block_sums, range(0, n_chunks, _MC_BLOCK)):
-        for s_w, s_w2 in sums:
-            sum_w += s_w
-            sum_w2 += s_w2
+    sum_w, sum_w2 = _ordered_sum(chunk_sums, range(n_chunks)).tolist()
     mean_w = sum_w / samples
     var_w = max(0.0, (sum_w2 - samples * mean_w * mean_w) / max(samples - 1, 1))
     est = kfree * mean_w

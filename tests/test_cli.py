@@ -273,12 +273,17 @@ def test_overflowing_site_counts_exit_3(tmp_path, monkeypatch, capsys, text):
     "experiment = propagator_convergence\nfamily = harmonic\n"
     "hbar = 5.761205994978716e+300\nb = -3.3176892529065517e-100\n"
     "mass = 9.020023044573383\nk = 3\n",
+    "experiment = propagator_convergence\nmass = 1e-307\n",
+    "experiment = propagator_convergence\nhbar = 1.5e307\n"
+    "t_total = 3.2e-150\n",
 ])
 def test_products_out_of_float_range_are_refused(tmp_path, capsys, text):
     # omega ** 2 overflows; hbar * t_total, the time step, the oracle's
     # window determinant, 2 pi hbar eps and mass * slit_separation
     # underflow to 0; the Newton Hessian overflows; the harmonic oracle
-    # underflows to 0; the step's quadratic fit overflows
+    # underflows to 0; the step's quadratic fit overflows; a window's
+    # square overflows, a weight of 0, before the oracle's determinant
+    # underflows; the step's kinetic chirp phase overflows
     cfgf = _write(tmp_path, "x.cfg", text)
     assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) in (2, 3)
     assert capsys.readouterr().err.startswith("cardpath: ")

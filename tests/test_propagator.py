@@ -571,7 +571,9 @@ def _serial_block_enumeration(cfg):
     head = step_action(1, xa, x)
     for block in pairs[:fast - 1]:
         head = head[..., None] + block
-    if fast == n_int:
+    if n_int == 0:
+        acc = weight(step_action(1, xa, xb))
+    elif fast == n_int:
         acc = weight(head + last)
     else:
         acc = 0.0 + 0.0j
@@ -585,8 +587,10 @@ def _serial_block_enumeration(cfg):
 
 @pytest.mark.parametrize("chunk", [1, 40])
 def test_enumeration_pool_bits_match_serial_blocks(monkeypatch, chunk):
-    # chunk 1 and 40 leave one or two slow sites, so the blocks go through
-    # the pool; every pool size must give the serial loop's bits
+    # k = 1 and 2, and k = 3 at chunk 40 with 5 sites, are one block; at
+    # chunk 1 and 40 the others leave one or two slow sites, so their
+    # blocks go through the pool; every pool size must give the bits of
+    # the serial loop, which keeps a branch for each of these cases
     monkeypatch.setattr(propagator, "_ENUM_CHUNK", chunk)
     td = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.5 * r * r
                         + 0.7 * np.sin(3.0 * t) + 0.3 * r * t,
@@ -594,7 +598,7 @@ def test_enumeration_pool_bits_match_serial_blocks(monkeypatch, chunk):
     walled = LagrangianSpec(mass=1.0, potential=_walled, label="box")
     cases = []
     for lag in (free_particle(), harmonic_oscillator(1.0, 1.3), td, walled):
-        for k in (3, 4):
+        for k in (1, 2, 3, 4):
             for sites in (5, 12):
                 cfg = _small_cfg(lag, k=k, sites=sites, hbar=0.8, a=-0.31, b=0.42)
                 cases.append((cfg, _serial_block_enumeration(cfg)))
@@ -802,12 +806,13 @@ def _serial_monte_carlo(cfg, samples, seed):
     T = cfg.grid.duration
     kfree = math.sqrt(mass / (2.0 * math.pi * hbar * T)) \
         * math.exp(-mass * (cfg.b - cfg.a) ** 2 / (2.0 * hbar * T))
-    n_chunks = (samples + 4095) // 4096
+    chunk = propagator._MC_CHUNK
+    n_chunks = (samples + chunk - 1) // chunk
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sum_w = sum_w2 = 0.0
     done = 0
     for c in range(n_chunks):
-        n = min(4096, samples - done)
+        n = min(chunk, samples - done)
         done += n
         rng = np.random.default_rng(children[c])
         prev = np.full(n, cfg.a)
@@ -836,15 +841,13 @@ def _serial_monte_carlo(cfg, samples, seed):
                    time_dependent=True, label="td_harmonic")],
     ids=["harmonic", "time_dependent"])
 @pytest.mark.parametrize("samples", [
-    3 * 4096 + 17, 8 * 4096 + 17,
-    2 * propagator._MC_BLOCK * 4096 + 3 * 4096 + 17])
+    12305, propagator._MC_CHUNK + 17, 2 * propagator._MC_CHUNK + 12305,
+    3 * propagator._MC_CHUNK + 17])
 def test_monte_carlo_pool_bits_match_serial_chunks(monkeypatch, lag, samples):
-    # 4, 9 and 2 * _MC_BLOCK + 4 chunks, the last one short: every pool
-    # size gives the serial bits, also over three blocks of chunks with the
-    # short chunk in the last block.  Under seed 2, chunk sums added in
-    # reverse order change the last bits in five of the six cases, and
-    # blocks added in reverse order change both three-block cases, so the
-    # order is checked too.
+    # 1, 2, 3 and 4 chunks, the last one short: every pool size gives the
+    # serial bits.  Under seed 2, chunk sums added in reverse order change
+    # the last bits of both harmonic cases of 3 and 4 chunks, so the order
+    # is checked too (one or two chunks add to the same bits either way).
     cfg = _small_cfg(lag, k=8, sites=41, a=0.0, b=0.5)
     est, stderr = _serial_monte_carlo(cfg, samples, seed=2)
     interval = sys.getswitchinterval()
