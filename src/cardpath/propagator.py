@@ -32,16 +32,21 @@ builds step 1 when it is made and reuses it for every step when V is
 time-independent.
 
 Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
-It evaluates V on about (k-2) * sites^2 site pairs, once per step, and
-spends one addition per step and one complex exponential per path, in
-blocks of at most about 2^16 paths (or one site's worth): O(k * sites^(k-1))
-time and O(CPUs * 2^16 + k * sites^2) memory.  The blocks run on the
-process's CPUs, one thread each, and their sums are added in block order,
-so the value has the same bits on any number of CPUs.  V is evaluated on
-the calling thread before the blocks start.
+It evaluates V and one complex exponential e^{i S_step / hbar} per site
+pair per step, on about (k-2) * sites^2 pairs, and then spends one complex
+multiply per path per step and no exponential per path, in blocks of at
+most about 2^16 paths (or one site's worth): O(k * sites^(k-1)) time and
+O(CPUs * 2^16 + k * sites^2) memory.  The blocks run on the process's
+CPUs, one thread each, and their sums are added in block order, so the
+value has the same bits on any number of CPUs.  V is evaluated on the
+calling thread before the blocks start.
 
 The Euclidean Monte Carlo draws k - 1 normals per sample, in chunks of
-_MC_CHUNK samples with one seed each.  Each chunk is one job on the
+_MC_CHUNK samples with one seed each.  It carries half the bridge's
+deviation from the straight line a -> b, h_i = alpha_i h_{i-1} +
+(sd_i / 2) z_i with h_0 = h_k = 0, so that step i's midpoint is the
+line's plus h_{i-1} + h_i; it sums V over a sample's midpoints and scales
+the sum by -eps / hbar once per chunk.  Each chunk is one job on the
 process's CPUs, one thread each, and the chunks' weight sums are added in
 chunk order, so the estimate and its stderr have the same bits on any
 number of CPUs.  The potential is called from several threads at once, so
@@ -568,15 +573,18 @@ def _ordered_sum(fn, jobs):
 def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     """Exact sum over all sites^(k-1) interior assignments, endpoints pinned.
 
-    Each step's action is evaluated once on site pairs at the step's
-    midpoint time: a row out of a for step 1, a column into b for step k,
-    and a sites x sites block for each interior step.  The partial actions
-    over the fastest interior sites are broadcast into one block of at most
-    about _ENUM_CHUNK paths (at least one site's worth), and the remaining
-    sites are looped over in mixed radix.  Every path's action is summed in
-    step order, ((S_1 + S_2) + ...) + S_k, so its bits do not depend on the
+    Each step's factor e^{i S_step / hbar} is evaluated once on site pairs
+    at the step's midpoint time, and is 0 where S_step is not finite: a row
+    out of a for step 1, a column into b for step k, and a sites x sites
+    block for each interior step.  The products of factors over the fastest
+    interior sites are broadcast into one block of at most about
+    _ENUM_CHUNK paths (at least one site's worth), the remaining sites are
+    looped over in mixed radix, and each block's path weights are summed
+    with one np.sum.  Every path's weight is the product of its factors in
+    step order, ((w_1 w_2) ...) w_k, so its bits do not depend on the
     blocking.  Paths through a midpoint where the potential is +inf carry
-    zero weight.
+    zero weight; a path whose steps are all finite carries its product
+    even where the sum of its actions would overflow.
 
     The blocks run on a thread pool with one thread per CPU of the process,
     and their weights are added in mixed-radix order, so the value has the
@@ -597,32 +605,36 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     tmids = cfg.grid.midpoint_times()
     mass, hbar = cfg.lag.mass, cfg.hbar
 
-    def step_action(i, r0, r1):
+    def step_weight(i, r0, r1):
         drv = (r1 - r0) / eps
         vm = cfg.lag.v(0.5 * (r1 + r0), tmids[i - 1])
-        return (0.5 * mass * drv * drv - vm) * eps
+        S = (0.5 * mass * drv * drv - vm) * eps
+        ok = np.isfinite(S)
+        w = np.zeros(S.shape, dtype=complex)
+        w[ok] = np.exp(1j * S[ok] / hbar)
+        return w
 
     xa, xb = x[ja:ja + 1], x[jb:jb + 1]
-    # steps[i - 1][p, q]: action of step i from site p to site q, where
-    # step 1 leaves a and step k enters b, each as index 0
-    steps = [step_action(i, (xa if i == 1 else x)[:, None],
+    # steps[i - 1][p, q]: e^{i S / hbar} of step i from site p to site q,
+    # where step 1 leaves a and step k enters b, each as index 0
+    steps = [step_weight(i, (xa if i == 1 else x)[:, None],
                          (xb if i == k else x)[None, :])
              for i in range(1, k + 1)]
     fast = 1
     while fast < n_int and sites ** (fast + 1) <= _ENUM_CHUNK:
         fast += 1
-    # head[j_1, .., j_fast]: actions of steps 1 .. fast
+    # head[j_1, .., j_fast]: the factors of steps 1 .. fast, multiplied
     head = steps[0][0]
     for step in steps[1:fast]:
-        head = head[..., None] + step
+        head = head[..., None] * step
 
     def block_weight(rest):
         # rest: the sites j_{fast+1} .. j_k of one block, j_k being b's 0
-        S, prev = head, slice(None)
+        w, prev = head, slice(None)
         for step, j in zip(steps[fast:], rest):
-            S = S + step[prev, j]
+            w = w * step[prev, j]
             prev = j
-        return np.sum(np.exp(1j * S[np.isfinite(S)] / hbar))
+        return np.sum(w)
 
     sizes = [sites] * n_int + [1]
     blocks = list(itertools.product(*map(range, sizes[fast:])))
@@ -643,18 +655,33 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     estimator is the free Euclidean kernel times the mean weight, so for
     V = 0 it is exact with zero variance.
 
-    The samples come in chunks of _MC_CHUNK, each drawn from its own
-    SeedSequence child, and each chunk is one job on a thread pool with
-    one thread per CPU of the process (numpy's normal draws and array
-    loops release the interpreter lock).  A job allocates its arrays once
-    and updates the bridge in place.  The chunks' weight sums are added in
+    A sample is drawn as half its deviation from the straight line
+    a -> b, h_i = alpha_i h_{i-1} + (sd_i / 2) z_i with alpha_i =
+    tau_i / (tau_i + eps), tau_i = (k - i) eps and h_0 = h_k = 0: the same
+    normals z_i, in the same order, give the same paths as the conditionals
+    of the positions.  Step i's midpoint is the line's plus h_{i-1} + h_i,
+    V is summed over the midpoints, and the sum is scaled by -eps / hbar
+    once per chunk.
+
+    The samples come in chunks of _MC_CHUNK, and each chunk is one job on
+    a thread pool with one thread per CPU of the process (numpy's normal
+    draws and array loops release the interpreter lock).  Job c seeds its
+    draws with SeedSequence(seed, spawn_key=(c,)), the c-th child of
+    SeedSequence(seed).spawn, so no list of seeds is built up front; it
+    allocates its arrays once and updates the bridge in place.  The chunks' weight sums are added in
     chunk order, so the estimate and its stderr are bitwise reproducible
-    and do not depend on the number of threads.  The potential is called
-    from several threads at once and must be a pure, elementwise function.
+    and do not depend on the number of threads.  seed must be a
+    nonnegative integer (InvalidParameter otherwise: None would draw fresh
+    entropy from the OS).  The potential is called from several threads at
+    once and must be a pure, elementwise function.
     """
     if not (isinstance(samples, numbers.Integral) and samples >= 100):
         raise InvalidParameter(
             f"samples = {samples!r} must be an integer, at least 100")
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+            and seed >= 0):
+        raise InvalidParameter(
+            f"seed = {seed!r} must be a nonnegative integer")
     k = cfg.grid.k
     eps = cfg.grid.epsilon
     mass, hbar = cfg.lag.mass, cfg.hbar
@@ -666,35 +693,36 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     kfree = math.sqrt(mass / (2.0 * math.pi * hbar * T)) \
         * math.exp(-mass * (cfg.b - cfg.a) ** 2 / (2.0 * hbar * T))
     n_chunks = (samples + _MC_CHUNK - 1) // _MC_CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    # per interior step i: tau_rest, its mean's divisor and its sd
+    # per step i: the straight line a -> b at its midpoint time, and per
+    # interior step its alpha = tau_rest / (tau_rest + eps) and half its sd
+    line = [cfg.a + (cfg.b - cfg.a) * (i - 0.5) / k for i in range(1, k + 1)]
     bridge = []
     for i in range(1, k):
         tau_rest = (k - i) * eps
         var = (hbar / mass) * eps * tau_rest / (eps + tau_rest)
-        bridge.append((tau_rest, tau_rest + eps, math.sqrt(var)))
-    eps_b, eps_over_hbar = eps * cfg.b, eps / hbar
+        bridge.append((tau_rest / (tau_rest + eps), 0.5 * math.sqrt(var)))
 
     def chunk_sums(c):
         n = min(_MC_CHUNK, samples - c * _MC_CHUNK)
-        rng = np.random.default_rng(children[c])
-        prev, cur = np.full(n, cfg.a), np.empty(n)
-        mid, z, logw = np.empty(n), np.empty(n), np.zeros(n)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        # prev, cur: h_{i-1} and h_i, half the bridge's deviation from the
+        # line, 0 at a and at b
+        prev, cur = np.zeros(n), np.empty(n)
+        mid, vsum = np.empty(n), np.zeros(n)
         for i in range(1, k + 1):
             if i < k:
-                tau_rest, denom, sd = bridge[i - 1]
-                rng.standard_normal(out=z)
-                np.multiply(prev, tau_rest, out=cur)
-                cur += eps_b
-                cur /= denom
-                z *= sd
-                cur += z
+                alpha, half_sd = bridge[i - 1]
+                rng.standard_normal(out=cur)
+                cur *= half_sd
+                np.multiply(prev, alpha, out=mid)
+                cur += mid
             else:
-                cur.fill(cfg.b)
+                cur.fill(0.0)
             np.add(prev, cur, out=mid)
-            mid *= 0.5
-            logw -= eps_over_hbar * cfg.lag.v(mid, tmids[i - 1])
+            mid += line[i - 1]
+            vsum += cfg.lag.v(mid, tmids[i - 1])
             prev, cur = cur, prev
+        logw = vsum * (-eps / hbar)
         w = np.where(np.isfinite(logw), np.exp(logw), 0.0)
         return np.array([w.sum(), (w * w).sum()])
 

@@ -552,36 +552,37 @@ def _serial_block_enumeration(cfg):
     x = cfg.space.points()
     tmids = cfg.grid.midpoint_times()
 
-    def step_action(i, r0, r1):
+    def step_weight(i, r0, r1):
         drv = (r1 - r0) / eps
         vm = cfg.lag.v(0.5 * (r1 + r0), tmids[i - 1])
-        return (0.5 * cfg.lag.mass * drv * drv - vm) * eps
-
-    def weight(S):
-        return np.sum(np.exp(1j * S[np.isfinite(S)] / cfg.hbar))
+        S = (0.5 * cfg.lag.mass * drv * drv - vm) * eps
+        ok = np.isfinite(S)
+        w = np.zeros(S.shape, dtype=complex)
+        w[ok] = np.exp(1j * S[ok] / cfg.hbar)
+        return w
 
     n_int = k - 1
     ja, jb = cfg.space.nearest_index(cfg.a), cfg.space.nearest_index(cfg.b)
     xa, xb = x[ja:ja + 1], x[jb:jb + 1]
-    pairs = [step_action(i, x[:, None], x[None, :]) for i in range(2, k)]
-    last = step_action(k, x, xb)
+    pairs = [step_weight(i, x[:, None], x[None, :]) for i in range(2, k)]
+    last = step_weight(k, x, xb)
     fast = 1
     while fast < n_int and sites ** (fast + 1) <= propagator._ENUM_CHUNK:
         fast += 1
-    head = step_action(1, xa, x)
+    head = step_weight(1, xa, x)
     for block in pairs[:fast - 1]:
-        head = head[..., None] + block
+        head = head[..., None] * block
     if n_int == 0:
-        acc = weight(step_action(1, xa, xb))
+        acc = np.sum(step_weight(1, xa, xb))
     elif fast == n_int:
-        acc = weight(head + last)
+        acc = np.sum(head * last)
     else:
         acc = 0.0 + 0.0j
         for slow in itertools.product(range(sites), repeat=n_int - fast):
-            S = head + pairs[fast - 1][:, slow[0]]
+            w = head * pairs[fast - 1][:, slow[0]]
             for i in range(1, len(slow)):
-                S = S + pairs[fast - 1 + i][slow[i - 1], slow[i]]
-            acc += weight(S + last[slow[-1]])
+                w = w * pairs[fast - 1 + i][slow[i - 1], slow[i]]
+            acc += np.sum(w * last[slow[-1]])
     return complex(cfg.norm_per_step ** k * cfg.space.dx ** n_int * acc)
 
 
@@ -808,6 +809,46 @@ def _serial_monte_carlo(cfg, samples, seed):
         * math.exp(-mass * (cfg.b - cfg.a) ** 2 / (2.0 * hbar * T))
     chunk = propagator._MC_CHUNK
     n_chunks = (samples + chunk - 1) // chunk
+    sum_w = sum_w2 = 0.0
+    done = 0
+    for c in range(n_chunks):
+        n = min(chunk, samples - done)
+        done += n
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        h_prev = np.zeros(n)  # half the deviation from the line a -> b
+        vsum = np.zeros(n)
+        for i in range(1, k + 1):
+            tau_rest = (k - i) * eps
+            if i < k:
+                alpha = tau_rest / (tau_rest + eps)
+                var = (hbar / mass) * eps * tau_rest / (eps + tau_rest)
+                h = 0.5 * math.sqrt(var) * rng.standard_normal(n) + h_prev * alpha
+            else:
+                h = np.zeros(n)
+            line = cfg.a + (cfg.b - cfg.a) * (i - 0.5) / k
+            vsum += cfg.lag.v((h_prev + h) + line, tmids[i - 1])
+            h_prev = h
+        logw = vsum * (-eps / hbar)
+        w = np.where(np.isfinite(logw), np.exp(logw), 0.0)
+        sum_w += float(w.sum())
+        sum_w2 += float((w * w).sum())
+    mean_w = sum_w / samples
+    var_w = max(0.0, (sum_w2 - samples * mean_w * mean_w) / (samples - 1))
+    return kfree * mean_w, kfree * math.sqrt(var_w / samples)
+
+
+def _line_free_monte_carlo(cfg, samples, seed):
+    # the reference for the deviation form: the bridge drawn as positions,
+    # each from its Gaussian conditional given the one before, with the
+    # log-weight summed step by step and one SeedSequence child per chunk
+    k, eps = cfg.grid.k, cfg.grid.epsilon
+    mass, hbar = cfg.lag.mass, cfg.hbar
+    tmids = cfg.grid.midpoint_times()
+    T = cfg.grid.duration
+    kfree = math.sqrt(mass / (2.0 * math.pi * hbar * T)) \
+        * math.exp(-mass * (cfg.b - cfg.a) ** 2 / (2.0 * hbar * T))
+    chunk = propagator._MC_CHUNK
+    n_chunks = (samples + chunk - 1) // chunk
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sum_w = sum_w2 = 0.0
     done = 0
@@ -835,11 +876,28 @@ def _serial_monte_carlo(cfg, samples, seed):
     return kfree * mean_w, kfree * math.sqrt(var_w / samples)
 
 
-@pytest.mark.parametrize("lag", [
+_MC_LAGS = pytest.mark.parametrize("lag", [
     harmonic_oscillator(1.0, 1.0),
     LagrangianSpec(mass=1.0, potential=lambda r, t: (1.0 + t) * r * r + 0.3 * t,
                    time_dependent=True, label="td_harmonic")],
     ids=["harmonic", "time_dependent"])
+
+
+@_MC_LAGS
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_monte_carlo_matches_line_free_bridge(lag, k):
+    # the same normals, in the same order, give the same paths: drawn as
+    # deviations from the line a -> b they agree with the paths drawn as
+    # positions to rounding
+    cfg = _small_cfg(lag, k=k, sites=41, a=0.0, b=0.5)
+    samples = propagator._MC_CHUNK + 17
+    est, stderr = _line_free_monte_carlo(cfg, samples, seed=2)
+    res = propagate_monte_carlo_euclidean(cfg, samples=samples, seed=2)
+    assert abs(res.value.re - est) <= 1e-12 * abs(est)
+    assert abs(res.stderr - stderr) <= 1e-12 * stderr
+
+
+@_MC_LAGS
 @pytest.mark.parametrize("samples", [
     12305, propagator._MC_CHUNK + 17, 2 * propagator._MC_CHUNK + 12305,
     3 * propagator._MC_CHUNK + 17])
@@ -876,6 +934,13 @@ def test_monte_carlo_guards():
     for samples in (50, 150.5, math.nan):
         with pytest.raises(InvalidParameter):
             propagate_monte_carlo_euclidean(_small_cfg(), samples=samples, seed=0)
+    # only a nonnegative integer seeds a replayable draw: None would draw
+    # entropy from the OS
+    for seed in (-1, 1.5, None, True, "3", math.nan):
+        with pytest.raises(InvalidParameter):
+            propagate_monte_carlo_euclidean(_small_cfg(), samples=200, seed=seed)
+    assert propagate_monte_carlo_euclidean(_small_cfg(), 200, seed=np.int64(7)) \
+        == propagate_monte_carlo_euclidean(_small_cfg(), 200, seed=7)
 
     def bottomless(r, t):
         r = np.asarray(r, dtype=float)
