@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NoConvergence
 from .lattice import (LagrangianSpec, LatticePath, TimeGrid,
-                      discretized_action)
+                      central_difference, discretized_action)
 from .propagator import (PropagatorConfig, Sweep, convergence_recipe,
                          gaussian_window)
 
@@ -79,11 +79,6 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float,
     if k == 1:
         return LatticePath((float(a), float(b)))
     from scipy.linalg import solve_banded
-
-    def v_second(r, t):
-        h = 1e-6 * np.maximum(1.0, np.abs(r))
-        return (lag.v_prime(r + h, t) - lag.v_prime(r - h, t)) / (2.0 * h)
-
     eps = grid.epsilon
     r = np.linspace(a, b, k + 1)
     for _ in range(_NEWTON_ITERATIONS):
@@ -91,14 +86,14 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float,
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= _NEWTON_TOL:
             return LatticePath(tuple(r))
-        vpp = lag._at_midpoints(v_second, r, grid)
+        vpp = lag._at_midpoints(
+            lambda s, t: central_difference(lag.v_prime, s, t), r, grid)
         diag = 2.0 * lag.mass / eps - 0.25 * eps * (vpp[:-1] + vpp[1:])
         off = -lag.mass / eps - 0.25 * eps * vpp[1:-1]
         ab = np.zeros((3, k - 1))
         ab[1] = diag
-        if k > 2:
-            ab[0, 1:] = off
-            ab[2, :-1] = off
+        ab[0, 1:] = off
+        ab[2, :-1] = off
         if not (math.isfinite(gnorm) and np.isfinite(ab).all()):
             raise NoConvergence("the action's gradient or Hessian is not "
                                 "finite in float64")
@@ -189,7 +184,7 @@ def packet_argmax_offset(evolve: Sweep, path: LatticePath) -> float:
     eps = cfg.grid.epsilon
     r0, r1 = path.sites[0], path.sites[1]
     p0 = cfg.lag.mass * (r1 - r0) / eps + 0.5 * eps * float(
-        cfg.lag.v_prime(0.5 * (r0 + r1), cfg.grid.t_a + 0.5 * eps))
+        cfg.lag.v_prime(0.5 * (r0 + r1), cfg.grid.midpoint_times()[0]))
     x = cfg.space.points()
     sigma = math.sqrt(cfg.hbar * cfg.grid.duration / (2.0 * cfg.lag.mass))
     psi = evolve(gaussian_window(x, cfg.a, sigma, p0, cfg.hbar))

@@ -35,9 +35,6 @@ from .propagator import (RECIPE_K, PropagatorConfig, Sweep, convergence_recipe,
                          gaussian_window, guard_bytes,
                          propagate_transfer_matrix, site_count)
 
-_EXPERIMENTS = ("propagator_convergence", "interference",
-                "concentration_scan", "mapping_demo")
-
 # bytes per point that mapping_demo may hold at its peak.  tracemalloc
 # measures about 75 at 4e5 and 1.2e6 points: scipy's KS test on the images
 # (about 58) next to the coordinates and images (16); the seeded draw and
@@ -134,9 +131,9 @@ def resolve_config(raw: dict, seed_override=None) -> ExperimentConfig:
     if "experiment" not in raw:
         raise ConfigError("missing required key 'experiment'")
     experiment = raw.pop("experiment")
-    if experiment not in _EXPERIMENTS:
+    if experiment not in _RUNNERS:
         raise ConfigError(
-            f"unknown experiment {experiment!r}; expected one of {', '.join(_EXPERIMENTS)}")
+            f"unknown experiment {experiment!r}; expected one of {', '.join(_RUNNERS)}")
     seed_raw = raw.pop("seed", "0")
     try:
         seed = int(seed_raw)

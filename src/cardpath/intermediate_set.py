@@ -86,8 +86,6 @@ class MappingDistribution:
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "MappingDistribution":
         span = hi - lo
-        if span <= 0:
-            raise InvalidDistribution("support must satisfy lo < hi")
         return cls(lo, hi, density=lambda r: np.full_like(np.asarray(r, float), 1.0 / span))
 
     @classmethod

@@ -4,9 +4,9 @@ The action uses the midpoint rule on each step:
 
     S = sum_i [ m/2 * ((r_i - r_{i-1}) / eps)^2 - V((r_i + r_{i-1})/2, t_{i-1/2}) ] * eps
 
-with eps = (t_b - t_a)/k and t_{i-1/2} = t_a + (i - 1/2)*eps.  A path whose
-midpoint potential is +inf gets a nonfinite action; path-sum consumers
-treat such paths as carrying zero weight.
+with eps = (t_b - t_a)/k and t_{i-1/2} = t_a + (i - 1/2)*eps.  A path with
+a midpoint potential of +inf, or a kinetic term past float range, gets a
+nonfinite action; the path sums give paths through a wall zero weight.
 """
 from __future__ import annotations
 
@@ -100,17 +100,13 @@ class LatticePath:
         if len(self.sites) < 2:
             raise InvalidParameter("a path needs at least two sites")
 
-    @property
-    def k(self) -> int:
-        return len(self.sites) - 1
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.sites, dtype=float)
 
 
 @dataclass(frozen=True)
 class LagrangianSpec:
-    """Mass plus potential V(r, t); derivative optional, else finite differences."""
+    """Mass and V(r, t), dV/dr optional; v, v_prime give arrays of r's shape."""
 
     mass: float
     potential: Callable[[np.ndarray, float], np.ndarray]
@@ -124,14 +120,12 @@ class LagrangianSpec:
                 f"mass = {self.mass!r} must be positive and finite")
 
     def v(self, r, t):
-        return np.asarray(self.potential(np.asarray(r, dtype=float), t), dtype=float)
+        return _shaped(self.potential, r, t)
 
     def v_prime(self, r, t):
-        if self.potential_deriv is not None:
-            return np.asarray(self.potential_deriv(np.asarray(r, dtype=float), t), dtype=float)
-        r = np.asarray(r, dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(r))
-        return (self.v(r + h, t) - self.v(r - h, t)) / (2.0 * h)
+        if self.potential_deriv is None:
+            return central_difference(self.v, r, t)
+        return _shaped(self.potential_deriv, r, t)
 
     def _at_midpoints(self, fn, r: np.ndarray, grid: TimeGrid) -> np.ndarray:
         """fn at each step's midpoint (r_{i-1} + r_i)/2 and midpoint time
@@ -144,7 +138,20 @@ class LagrangianSpec:
         tmids = grid.midpoint_times()
         if self.time_dependent:
             return np.array([float(fn(m, t)) for m, t in zip(mids, tmids)])
-        return np.asarray(fn(mids, tmids[0]), dtype=float)
+        return fn(mids, tmids[0])
+
+
+def _shaped(fn, r, t) -> np.ndarray:
+    """fn(r, t) as a float array of r's shape, with no copy if it is one."""
+    r = np.asarray(r, dtype=float)
+    values = np.asarray(fn(r, t), dtype=float)
+    return values if values.shape == r.shape else np.broadcast_to(values, r.shape)
+
+
+def central_difference(f, r, t) -> np.ndarray:
+    """df/dr at (r, t) as (f(r + h, t) - f(r - h, t)) / 2h, h = 1e-6 max(1, |r|)."""
+    h = 1e-6 * np.maximum(1.0, np.abs(r))
+    return (f(r + h, t) - f(r - h, t)) / (2.0 * h)
 
 
 def free_particle(mass: float = 1.0) -> LagrangianSpec:
@@ -179,7 +186,8 @@ def discretized_action(path: LatticePath, grid: TimeGrid, lag: LagrangianSpec) -
         raise GridMismatch(f"path has {r.size} sites but grid has k={grid.k}")
     eps = grid.epsilon
     dr = np.diff(r)
-    kinetic = 0.5 * lag.mass * (dr / eps) ** 2
+    with np.errstate(over="ignore"):  # past float range: a nonfinite action
+        kinetic = 0.5 * lag.mass * (dr / eps) ** 2
     pot = lag._at_midpoints(lag.v, r, grid)
     return float(np.sum((kinetic - pot) * eps))
 

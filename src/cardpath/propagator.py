@@ -27,9 +27,11 @@ at some midpoint (a hard wall makes the Hankel factor an indicator, of
 full rank) and for ranks whose build and products are measured to take
 longer than its own, as every rank does on small grids; the cross
 approximation stops at that rank, so a V of high rank costs about two
-dense builds.  Either step's arrays are held to one size guard.  A Sweep
-builds step 1 when it is made and reuses it for every step when V is
-time-independent.
+dense builds.  Either step's arrays are held to one size guard.  Every
+step factor, the enumeration's included, is 0 where V is not finite (no
+path crosses a wall), and its phase is refused with InvalidParameter
+where it is not finite at a finite V.  A Sweep builds step 1 when it is
+made and reuses it for every step when V is time-independent.
 
 Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
 It evaluates V and one complex exponential e^{i S_step / hbar} per site
@@ -241,8 +243,22 @@ def _midpoint_potential(cfg: PropagatorConfig, step_index: int):
     """The 2*sites - 1 distinct midpoints r_s = lo + s*dx/2 of site pairs,
     and V there at the step's midpoint time t_{i-1/2}."""
     r = cfg.space.lo + 0.5 * cfg.space.dx * np.arange(2 * cfg.space.sites - 1)
-    t_mid = cfg.grid.t_a + (step_index - 0.5) * cfg.grid.epsilon
-    return r, np.broadcast_to(cfg.lag.v(r, t_mid), r.shape)
+    return r, cfg.lag.v(r, cfg.grid.midpoint_times()[step_index - 1])
+
+
+def _exp_phase(cfg: PropagatorConfig, exponent, v=None) -> np.ndarray:
+    """e^z, a new array, for the exponent z = exponent() of a step factor,
+    formed with no float warning: 0 where V (v, of z's shape) is not finite,
+    and InvalidParameter where z is not finite at a finite V."""
+    with np.errstate(all="ignore"):
+        z = exponent()
+    ok = np.isfinite(z)
+    if not np.all(ok if v is None else ok | ~np.isfinite(v)):
+        raise InvalidParameter(f"a step's phase is not finite at eps = "
+                               f"{cfg.grid.epsilon!r}, hbar = {cfg.hbar!r}")
+    w = np.zeros(z.shape, dtype=complex)
+    w[ok] = np.exp(z[ok])
+    return w
 
 
 def step_matrix(cfg: PropagatorConfig, step_index: int = 1) -> np.ndarray:
@@ -254,19 +270,17 @@ def step_matrix(cfg: PropagatorConfig, step_index: int = 1) -> np.ndarray:
     On the uniform grid T = norm * dx * kin[|j' - j|] * pot[j + j'], so the
     build takes 3*sites exponentials and one sites x sites allocation; a
     midpoint where V is not finite gives zero weight.  Raises TooLarge,
-    before allocating, when the matrix would exceed _DENSE_GUARD bytes.
+    before allocating, when the matrix would exceed _DENSE_GUARD bytes, and
+    InvalidParameter where a factor's phase is not finite at a finite V.
     """
     n = cfg.space.sites
     guard_bytes(n * n * 16, f"a {n} x {n} step matrix")
     dx = cfg.space.dx
     d = dx * np.arange(n)
-    norm = cfg.norm_per_step
-    kin = norm * dx * np.exp(1j * cfg.lag.mass * d * d
-                             / (2.0 * cfg.grid.epsilon * cfg.hbar))
+    kin = cfg.norm_per_step * dx * _exp_phase(
+        cfg, lambda: 1j * cfg.lag.mass * d * d / (2.0 * cfg.grid.epsilon * cfg.hbar))
     _, v = _midpoint_potential(cfg, step_index)
-    ok = np.isfinite(v)
-    pot = np.zeros(v.size, dtype=complex)
-    pot[ok] = np.exp(-1j * cfg.grid.epsilon * v[ok] / cfg.hbar)
+    pot = _exp_phase(cfg, lambda: -1j * cfg.grid.epsilon * v / cfg.hbar, v)
     toeplitz = sliding_window_view(np.concatenate([kin[:0:-1], kin]), n)[::-1]
     hankel = sliding_window_view(pot, n)
     return toeplitz * hankel
@@ -369,7 +383,7 @@ def _step(cfg: PropagatorConfig, step_index: int):
 
     Raises TooLarge before V is evaluated when even the rank-1 arrays at
     their least padded length would exceed _DENSE_GUARD bytes, and
-    InvalidParameter when eps (V - fit) / hbar is not finite.
+    InvalidParameter when a phase of the step it builds is not finite.
     """
     n = cfg.space.sites
     guard_bytes(_fft_bytes(n, 2 * n - 1), f"a {n}-site step operator")
@@ -378,18 +392,14 @@ def _step(cfg: PropagatorConfig, step_index: int):
         return step_matrix(cfg, step_index)
     import scipy.fft
     size = scipy.fft.next_fast_len(2 * n - 1)
-    eps, hbar = cfg.grid.epsilon, cfg.hbar
     with np.errstate(over="ignore", invalid="ignore"):
         fit, resid = _quadratic_fit(r, v)
-        phase = eps * resid / hbar
-    if not np.all(np.isfinite(phase)):
-        raise InvalidParameter(
-            f"the step phase eps (V - fit) / hbar of step {step_index} is not "
-            f"finite at eps = {eps!r}, hbar = {hbar!r}")
-    if np.max(np.abs(phase)) <= _FIT_PHASE_TOL:
+        phase = cfg.grid.epsilon * resid / cfg.hbar
+    if np.max(np.abs(phase)) <= _FIT_PHASE_TOL:  # False at inf or nan
         return _FftStep(cfg, fit, None, size)
     applies = 1 if cfg.lag.time_dependent else cfg.grid.k
-    factors = _aca(np.exp(-1j * phase), _max_rank(n, size, applies), size)
+    factors = _aca(_exp_phase(cfg, lambda: -1j * phase),
+                   _max_rank(n, size, applies), size)
     if factors is None:
         return step_matrix(cfg, step_index)
     return _FftStep(cfg, fit, factors, size)
@@ -438,14 +448,8 @@ class _FftStep:
         chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
         self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft
         d = cfg.space.dx * np.arange(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = chirp * d * d / hbar
-        if not np.all(np.isfinite(phase)):
-            raise InvalidParameter(
-                f"the kinetic step phase is not finite at eps = {eps!r}, "
-                f"hbar = {hbar!r}")
         g = np.zeros(size, dtype=complex)
-        g[:n] = np.exp(1j * phase)
+        g[:n] = _exp_phase(cfg, lambda: 1j * (chirp * d * d / hbar))
         g[size - n + 1:] = g[n - 1:0:-1]
         self._g_hat = self._fft(g, overwrite_x=True)
         x = cfg.space.points()
@@ -574,17 +578,16 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     """Exact sum over all sites^(k-1) interior assignments, endpoints pinned.
 
     Each step's factor e^{i S_step / hbar} is evaluated once on site pairs
-    at the step's midpoint time, and is 0 where S_step is not finite: a row
-    out of a for step 1, a column into b for step k, and a sites x sites
-    block for each interior step.  The products of factors over the fastest
-    interior sites are broadcast into one block of at most about
+    at the step's midpoint time (a row out of a for step 1, a column into
+    b for step k, a sites x sites block for each interior step) by the
+    sweep's rule: 0 where V is not finite, and InvalidParameter where the
+    phase is not finite at a finite V.  The products of factors over the
+    fastest interior sites are broadcast into one block of at most about
     _ENUM_CHUNK paths (at least one site's worth), the remaining sites are
     looped over in mixed radix, and each block's path weights are summed
     with one np.sum.  Every path's weight is the product of its factors in
     step order, ((w_1 w_2) ...) w_k, so its bits do not depend on the
-    blocking.  Paths through a midpoint where the potential is +inf carry
-    zero weight; a path whose steps are all finite carries its product
-    even where the sum of its actions would overflow.
+    blocking, and it is finite even where the sum of its actions is not.
 
     The blocks run on a thread pool with one thread per CPU of the process,
     and their weights are added in mixed-radix order, so the value has the
@@ -603,16 +606,14 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     ja = cfg.space.nearest_index(cfg.a)
     jb = cfg.space.nearest_index(cfg.b)
     tmids = cfg.grid.midpoint_times()
-    mass, hbar = cfg.lag.mass, cfg.hbar
 
     def step_weight(i, r0, r1):
-        drv = (r1 - r0) / eps
         vm = cfg.lag.v(0.5 * (r1 + r0), tmids[i - 1])
-        S = (0.5 * mass * drv * drv - vm) * eps
-        ok = np.isfinite(S)
-        w = np.zeros(S.shape, dtype=complex)
-        w[ok] = np.exp(1j * S[ok] / hbar)
-        return w
+
+        def exponent():
+            drv = (r1 - r0) / eps
+            return 1j * ((0.5 * cfg.lag.mass * drv * drv - vm) * eps) / cfg.hbar
+        return _exp_phase(cfg, exponent, vm)
 
     xa, xb = x[ja:ja + 1], x[jb:jb + 1]
     # steps[i - 1][p, q]: e^{i S / hbar} of step i from site p to site q,

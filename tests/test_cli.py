@@ -276,6 +276,8 @@ def test_overflowing_site_counts_exit_3(tmp_path, monkeypatch, capsys, text):
     "experiment = propagator_convergence\nmass = 1e-307\n",
     "experiment = propagator_convergence\nhbar = 1.5e307\n"
     "t_total = 3.2e-150\n",
+    "experiment = concentration_scan\nmass = 1e-306\nb = 2e154\n"
+    "hbar_values = 1.0\n",
 ])
 def test_products_out_of_float_range_are_refused(tmp_path, capsys, text):
     # omega ** 2 overflows; hbar * t_total, the time step, the oracle's
@@ -283,7 +285,8 @@ def test_products_out_of_float_range_are_refused(tmp_path, capsys, text):
     # underflow to 0; the Newton Hessian overflows; the harmonic oracle
     # underflows to 0; the step's quadratic fit overflows; a window's
     # square overflows, a weight of 0, before the oracle's determinant
-    # underflows; the step's kinetic chirp phase overflows
+    # underflows; the step's kinetic chirp phase overflows; the path
+    # action's kinetic term overflows, a nonfinite action
     cfgf = _write(tmp_path, "x.cfg", text)
     assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) in (2, 3)
     assert capsys.readouterr().err.startswith("cardpath: ")

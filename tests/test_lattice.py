@@ -182,3 +182,21 @@ def test_finite_difference_derivative_fallback():
     lag = LagrangianSpec(mass=1.0, potential=lambda r, t: np.sin(r), label="sin")
     got = float(lag.v_prime(0.7, 0.0))
     assert abs(got - math.cos(0.7)) < 1e-9
+
+
+def test_potential_values_take_the_shape_of_r():
+    # a scalar V or V' is spread over r's shape; an array of that shape is
+    # passed through as it is, with no copy or view
+    r = np.linspace(-1.0, 1.0, 5)
+    flat = LagrangianSpec(mass=1.0, potential=lambda r, t: 2.0,
+                          potential_deriv=lambda r, t: 0.0)
+    assert flat.v(r, 0.0).tolist() == [2.0] * 5
+    assert flat.v_prime(r[:, None], 0.0).shape == (5, 1)
+    values = np.cos(r)
+    lag = LagrangianSpec(mass=1.0, potential=lambda r, t: values,
+                         potential_deriv=lambda r, t: values)
+    assert lag.v(r, 0.0) is values
+    assert lag.v_prime(r, 0.0) is values
+    # the central difference of a scalar V is 0 at every r
+    assert LagrangianSpec(mass=1.0, potential=lambda r, t: 2.0).v_prime(
+        r, 0.0).tolist() == [0.0] * 5

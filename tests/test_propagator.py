@@ -503,6 +503,59 @@ def test_hard_wall_paths_drop_out_consistently():
     assert abs(ke - propagate_enumerate(free_cfg).value.to_complex()) > 1e-6
 
 
+def _at_zero(potential, hbar, t_b, k, sites, deriv=None):
+    """a = b = 0 on sites points of [-1, 1], over [0, t_b] in k steps."""
+    return PropagatorConfig(
+        grid=TimeGrid(0.0, t_b, k), space=SpaceGrid(-1.0, 1.0, sites),
+        lag=LagrangianSpec(mass=1.0, potential=potential,
+                           potential_deriv=deriv),
+        hbar=hbar, a=0.0, b=0.0)
+
+
+def _wall_around(inside):
+    return lambda r, t: np.where(np.abs(r) < 0.9, inside, np.inf)
+
+
+def _huge(r, t):
+    return 1e300 + 0.0 * r
+
+
+_DRIFTED = {
+    # the dense step's kinetic factor overflows
+    "a": lambda: propagate_transfer_matrix(
+        _at_zero(_wall_around(0.0), 1e-299, 1e-10, 2, 12)),
+    # the dense step's potential factor overflows inside the wall
+    "b": lambda: propagate_transfer_matrix(
+        _at_zero(_wall_around(1e300), 1e-10, 1.0, 2, 12)),
+    # a finite V whose fit leaves a rank too high for 12 sites: the dense
+    # step's potential factor overflows
+    "c": lambda: propagate_transfer_matrix(_at_zero(_huge, 1e-10, 1.0, 2, 12)),
+    # the enumeration's potential phase overflows
+    "d": lambda: propagate_enumerate(_at_zero(_huge, 1e-10, 1.0, 3, 5)),
+    # the enumeration's kinetic phase overflows; the sweep refuses this
+    # configuration in the FFT step's chirp
+    "e": lambda: propagate_enumerate(
+        _at_zero(lambda r, t: 0.0 * r, 1e-299, 1e-10, 3, 5)),
+    # a scalar V and V' on the Newton path
+    "f": lambda: classical_path(
+        LagrangianSpec(mass=1.0, potential=lambda r, t: 0.0,
+                       potential_deriv=lambda r, t: 0.0),
+        TimeGrid(0.0, 1.0, 4), 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DRIFTED))
+def test_engines_share_the_phase_check_and_the_potential_shape(case):
+    # (a)-(e) once returned NaN past a numpy overflow warning, and (f)
+    # raised IndexError; every step factor's phase is now checked by one
+    # rule, and V and V' take the shape of r
+    if case == "f":
+        assert _DRIFTED[case]().as_array().tolist() == [0.0] * 5
+    else:
+        with pytest.raises(InvalidParameter, match="phase is not finite"):
+            _DRIFTED[case]()
+
+
 def _digit_enumeration(cfg):
     """The pinned sum with every path's sites read off the mixed-radix
     digits of its index, all paths in one array: the per-chunk form that
