@@ -166,8 +166,19 @@ def harmonic_oscillator(mass: float = 1.0, omega: float = 1.0) -> LagrangianSpec
     if not math.isfinite(mass * (omega * omega)):
         raise InvalidParameter(f"mass * omega**2 must be finite at mass = "
                                f"{mass!r}, omega = {omega!r}")
-    return LagrangianSpec(mass=mass,
-                          potential=lambda r, t: 0.5 * mass * omega ** 2 * r * r,
+    half_k = 0.5 * mass * omega ** 2
+
+    def potential(r, t):
+        # r * r past float range is refused, not read as a wall
+        try:
+            with np.errstate(over="raise"):
+                return half_k * r * r
+        except FloatingPointError:
+            raise InvalidParameter(
+                f"the harmonic potential overflows at mass = {mass!r}, "
+                f"omega = {omega!r}") from None
+
+    return LagrangianSpec(mass=mass, potential=potential,
                           potential_deriv=lambda r, t: mass * omega ** 2 * r,
                           label=f"harmonic(omega={omega:g})")
 

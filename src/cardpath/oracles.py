@@ -16,7 +16,7 @@ import numpy as np
 
 from .amplitude import Amplitude
 from .errors import (CausticSingularity, InvalidParameter, NoConvergence,
-                     ShootingFailure, TooLarge)
+                     ShootingFailure, TooLarge, UnboundedPotential)
 from .lattice import LagrangianSpec, LatticePath, TimeGrid
 
 if TYPE_CHECKING:
@@ -212,6 +212,8 @@ def naive_enumeration(cfg: "PropagatorConfig") -> Amplitude:
     Independent re-derivation of the pinned path sum: no arrays, no shared
     helpers; per-step phases recomputed from scratch with scalar math.
     The result is norm^k * dx^(k-1) * sum over paths of e^{i S / hbar}.
+    A step whose midpoint V is +inf (a wall) gives its paths weight 0;
+    V = -inf or NaN at a midpoint a path visits raises UnboundedPotential.
     """
     k = cfg.grid.k
     sites = cfg.space.sites
@@ -228,8 +230,10 @@ def naive_enumeration(cfg: "PropagatorConfig") -> Amplitude:
 
     def step_phase(r0, r1, i):
         vmid = float(cfg.lag.v(np.asarray([(r0 + r1) / 2.0]), tmids[i])[0])
-        if not math.isfinite(vmid):
+        if vmid == math.inf:
             return None
+        if not vmid > -math.inf:
+            raise UnboundedPotential(f"V = {vmid!r} at r = {(r0 + r1) / 2.0!r}")
         S = (0.5 * mass * ((r1 - r0) / eps) ** 2 - vmid) * eps
         return cmath.exp(1j * S / hbar)
 

@@ -21,27 +21,32 @@ embedding at padded length L ~ 2 * sites: O(r * sites log sites) time and
 about 16 * r * (L + 2 * sites) bytes.  A quadratic V (free, linear,
 harmonic, or quadratic in r at each step's midpoint time) is the exact
 case r = 1; a quartic on a 2,986-site recipe grid has r = 33.  The dense
-matrix, built from 3*sites exponentials and applied with BLAS in
-O(sites^2) time and 16 * sites^2 bytes, is kept for a V that is not finite
-at some midpoint (a hard wall makes the Hankel factor an indicator, of
+matrix, built from 3*sites - 1 exponentials and applied with BLAS in
+O(sites^2) time and 16 * sites^2 bytes, is kept for a V that is +inf at
+some midpoint (a hard wall makes the Hankel factor an indicator, of
 full rank) and for ranks whose build and products are measured to take
 longer than its own, as every rank does on small grids; the cross
 approximation stops at that rank, so a V of high rank costs about two
-dense builds.  Either step's arrays are held to one size guard.  Every
-step factor, the enumeration's included, is 0 where V is not finite (no
-path crosses a wall), and its phase is refused with InvalidParameter
+dense builds.  Either step's arrays are held to one size guard, and
+either reads V once per step.  Every step factor, the enumeration's
+included, is 0 where V is +inf (no path crosses a wall), V = -inf or NaN
+is refused with UnboundedPotential (a potential unbounded below or
+undefined has no path sum), and a phase is refused with InvalidParameter
 where it is not finite at a finite V.  A Sweep builds step 1 when it is
 made and reuses it for every step when V is time-independent.
 
 Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
-It evaluates V and one complex exponential e^{i S_step / hbar} per site
-pair per step, on about (k-2) * sites^2 pairs, and then spends one complex
-multiply per path per step and no exponential per path, in blocks of at
-most about 2^16 paths (or one site's worth): O(k * sites^(k-1)) time and
-O(CPUs * 2^16 + k * sites^2) memory.  The blocks run on the process's
-CPUs, one thread each, and their sums are added in block order, so the
-value has the same bits on any number of CPUs.  V is evaluated on the
-calling thread before the blocks start.
+It takes each step's pair factors from the dense step's kin and pot (with
+norm * dx left out): V at the 2*sites - 1 midpoints and 3*sites - 1
+exponentials per step, a row out of a for step 1, a column into b for
+step k and a sites x sites block for each interior step.  It then spends
+one complex multiply per path per step and no exponential per path, in
+blocks of at most about 2^16 paths (or one site's worth):
+O(k * sites^(k-1)) time and O(CPUs * 2^16 + k * sites^2) memory, and
+O(sites) per step at k <= 2.  The blocks run on the process's CPUs, one
+thread each, and their sums are added in block order, so the value has
+the same bits on any number of CPUs.  V is evaluated on the calling
+thread before the blocks start.
 
 The Euclidean Monte Carlo draws k - 1 normals per sample, in chunks of
 _MC_CHUNK samples with one seed each.  It carries half the bridge's
@@ -55,16 +60,25 @@ number of CPUs.  The potential is called from several threads at once, so
 it must be pure.
 
 Grid stability (the convergence recipe).  The all-pairs step matrix is a
-sampled Fresnel chirp; if the phase between the farthest site pair advances
-more than pi per grid spacing, the discrete sum acquires aliased images
-inside the domain and the sweep grows exponentially instead of converging.
-Resolving the chirp everywhere requires
+sampled Fresnel chirp: its phase m d^2 / (2 hbar eps) advances by
+m d dx / (hbar eps) per grid spacing at a distance d, up to
+m W dx / (hbar eps) at the farthest site pair, with W the full grid width.
+At 2 pi per spacing the chirp's first alias, whose stationary point lies
+2 pi hbar eps / (m dx) from the source, enters the grid, and the sweep
+grows exponentially instead of converging (a free packet on a grid of
+width 4, k = 8 and 24, stayed bounded at 1.9 pi and grew from 2.1 pi).
+Well before that, a step's sum over sites multiplies the kernel's chirp
+by the state's own, which one step from a point source reaches as far, so
+its summand advances by up to twice the kernel's phase per spacing; the
+recipe keeps that sum under pi, the Nyquist limit of the sampled sum:
 
-    mass * W * dx / (hbar * eps) <= pi,  i.e.
+    mass * W * dx / (hbar * eps) <= pi / 2,  i.e.
     sites >= 2 * mass * W^2 * k * safety / (pi * hbar * T)
 
-with W the full grid width.  `convergence_recipe` applies this bound with
-safety 1.25, half-width 6*sqrt(hbar*T/mass) beyond the endpoints, and k=24.
+`convergence_recipe` applies this bound with safety 1.25, half-width
+6*sqrt(hbar*T/mass) beyond the endpoints, and k=24; the interference
+experiment applies the same pi / 2 to its one step, with W the farthest
+distance its windows reach.
 
 Endpoint windows.  A point source radiates a constant-modulus wave that
 reaches the hard-wall grid edges at O(1) amplitude, and the resulting edge
@@ -246,19 +260,51 @@ def _midpoint_potential(cfg: PropagatorConfig, step_index: int):
     return r, cfg.lag.v(r, cfg.grid.midpoint_times()[step_index - 1])
 
 
+def _refuse_unbounded(v, where: str) -> None:
+    """Raise UnboundedPotential where V (v) is -inf or NaN: +inf is a wall,
+    which no path crosses, but a potential unbounded below or undefined
+    has no path sum."""
+    if not np.all(v > -np.inf):
+        raise UnboundedPotential(f"the potential is -inf or NaN {where}")
+
+
 def _exp_phase(cfg: PropagatorConfig, exponent, v=None) -> np.ndarray:
     """e^z, a new array, for the exponent z = exponent() of a step factor,
-    formed with no float warning: 0 where V (v, of z's shape) is not finite,
-    and InvalidParameter where z is not finite at a finite V."""
+    formed with no float warning: 0 where V (v, of z's shape) is +inf,
+    UnboundedPotential where V is -inf or NaN, and InvalidParameter where
+    z is not finite at a finite V."""
+    if v is not None:
+        _refuse_unbounded(v, "at a step's midpoints")
     with np.errstate(all="ignore"):
         z = exponent()
     ok = np.isfinite(z)
-    if not np.all(ok if v is None else ok | ~np.isfinite(v)):
+    if not np.all(ok if v is None else ok | np.isposinf(v)):
         raise InvalidParameter(f"a step's phase is not finite at eps = "
                                f"{cfg.grid.epsilon!r}, hbar = {cfg.hbar!r}")
     w = np.zeros(z.shape, dtype=complex)
     w[ok] = np.exp(z[ok])
     return w
+
+
+def _step_factor(cfg: PropagatorConfig, step_index: int, scale,
+                 rows=slice(None), cols=slice(None), v=None) -> np.ndarray:
+    """The block [rows, cols] (slices) of scale * e^{i S_step / hbar} on
+    site pairs at step step_index, kin[|j' - j|] * pot[j + j'] with kin[d] =
+    scale * e^{i m (d dx)^2 / (2 eps hbar)} and pot[s] = e^{-i eps V(r_s) /
+    hbar} at the midpoints (V = v when the caller has read it); TooLarge
+    before V is read when the block would exceed _DENSE_GUARD bytes."""
+    n = cfg.space.sites
+    shape = len(range(n)[rows]), len(range(n)[cols])
+    guard_bytes(16 * shape[0] * shape[1], "a %d x %d step factor" % shape)
+    if v is None:
+        _, v = _midpoint_potential(cfg, step_index)
+    eps, hbar = cfg.grid.epsilon, cfg.hbar
+    pot = _exp_phase(cfg, lambda: -1j * eps * v / hbar, v)
+    d = cfg.space.dx * np.arange(n)
+    kin = scale * _exp_phase(
+        cfg, lambda: 1j * cfg.lag.mass * d * d / (2.0 * eps * hbar))
+    toeplitz = sliding_window_view(np.concatenate([kin[:0:-1], kin]), n)[::-1]
+    return toeplitz[rows, cols] * sliding_window_view(pot, n)[rows, cols]
 
 
 def step_matrix(cfg: PropagatorConfig, step_index: int = 1) -> np.ndarray:
@@ -267,23 +313,13 @@ def step_matrix(cfg: PropagatorConfig, step_index: int = 1) -> np.ndarray:
     step_index selects the midpoint time t_{i-1/2} for time-dependent
     potentials.
 
-    On the uniform grid T = norm * dx * kin[|j' - j|] * pot[j + j'], so the
-    build takes 3*sites exponentials and one sites x sites allocation; a
-    midpoint where V is not finite gives zero weight.  Raises TooLarge,
-    before allocating, when the matrix would exceed _DENSE_GUARD bytes, and
+    On the uniform grid T = kin[|j' - j|] * pot[j + j'] (_step_factor), so
+    the build takes 3*sites - 1 exponentials and one sites x sites array; V
+    = +inf gives zero weight.  Raises TooLarge, before V is read, over
+    _DENSE_GUARD bytes, UnboundedPotential where V is -inf or NaN, and
     InvalidParameter where a factor's phase is not finite at a finite V.
     """
-    n = cfg.space.sites
-    guard_bytes(n * n * 16, f"a {n} x {n} step matrix")
-    dx = cfg.space.dx
-    d = dx * np.arange(n)
-    kin = cfg.norm_per_step * dx * _exp_phase(
-        cfg, lambda: 1j * cfg.lag.mass * d * d / (2.0 * cfg.grid.epsilon * cfg.hbar))
-    _, v = _midpoint_potential(cfg, step_index)
-    pot = _exp_phase(cfg, lambda: -1j * cfg.grid.epsilon * v / cfg.hbar, v)
-    toeplitz = sliding_window_view(np.concatenate([kin[:0:-1], kin]), n)[::-1]
-    hankel = sliding_window_view(pot, n)
-    return toeplitz * hankel
+    return _step_factor(cfg, step_index, cfg.norm_per_step * cfg.space.dx)
 
 
 def _quadratic_fit(r: np.ndarray, v: np.ndarray):
@@ -373,11 +409,11 @@ def _step(cfg: PropagatorConfig, step_index: int):
     c0 + c1 r + c2 r^2 to within _FIT_PHASE_TOL of step phase, and
     otherwise of the rank r that _aca finds for the Hankel factor
     e^{-i eps (V - fit) / hbar}; both transform at the one padded length
-    L = next_fast_len(2 sites - 1).  The dense matrix itself when V is not
-    finite at some midpoint (a hard wall makes that factor an indicator,
-    of full rank), and when the rank-r step, built once and applied k
-    times (once if V depends on time), would take longer than the matrix,
-    as every rank would on small grids, or its arrays, about
+    L = next_fast_len(2 sites - 1).  The dense matrix, from the V read
+    here, when V is not finite at some midpoint (a wall makes that factor
+    an indicator, of full rank), and when the rank-r step, built once and
+    applied k times (once if V depends on time), would take longer than
+    the matrix, as every rank would on small grids, or its arrays, about
     16 r (L + 2 sites) bytes, would exceed _DENSE_GUARD (_max_rank): then
     _aca stops at that rank.
 
@@ -388,21 +424,20 @@ def _step(cfg: PropagatorConfig, step_index: int):
     n = cfg.space.sites
     guard_bytes(_fft_bytes(n, 2 * n - 1), f"a {n}-site step operator")
     r, v = _midpoint_potential(cfg, step_index)
-    if not np.all(np.isfinite(v)):
-        return step_matrix(cfg, step_index)
-    import scipy.fft
-    size = scipy.fft.next_fast_len(2 * n - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fit, resid = _quadratic_fit(r, v)
-        phase = cfg.grid.epsilon * resid / cfg.hbar
-    if np.max(np.abs(phase)) <= _FIT_PHASE_TOL:  # False at inf or nan
-        return _FftStep(cfg, fit, None, size)
-    applies = 1 if cfg.lag.time_dependent else cfg.grid.k
-    factors = _aca(_exp_phase(cfg, lambda: -1j * phase),
-                   _max_rank(n, size, applies), size)
-    if factors is None:
-        return step_matrix(cfg, step_index)
-    return _FftStep(cfg, fit, factors, size)
+    if np.all(np.isfinite(v)):
+        import scipy.fft
+        size = scipy.fft.next_fast_len(2 * n - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit, resid = _quadratic_fit(r, v)
+            phase = cfg.grid.epsilon * resid / cfg.hbar
+        if np.max(np.abs(phase)) <= _FIT_PHASE_TOL:  # False at inf or nan
+            return _FftStep(cfg, fit, None, size)
+        applies = 1 if cfg.lag.time_dependent else cfg.grid.k
+        factors = _aca(_exp_phase(cfg, lambda: -1j * phase),
+                       _max_rank(n, size, applies), size)
+        if factors is not None:
+            return _FftStep(cfg, fit, factors, size)
+    return _step_factor(cfg, step_index, cfg.norm_per_step * cfg.space.dx, v=v)
 
 
 class _FftStep:
@@ -514,6 +549,15 @@ def gaussian_window(x: np.ndarray, center: float, width: float,
     return g * np.exp(1j * momentum * x / hbar)
 
 
+def _endpoints(cfg: PropagatorConfig):
+    """(ja, jb, snap_a, snap_b): the sites nearest a and b, and their
+    distances from a and b."""
+    x = cfg.space.points()
+    ja = cfg.space.nearest_index(cfg.a)
+    jb = cfg.space.nearest_index(cfg.b)
+    return ja, jb, abs(x[ja] - cfg.a), abs(x[jb] - cfg.b)
+
+
 def propagate_transfer_matrix(cfg: PropagatorConfig,
                               source_width: Optional[float] = None,
                               ) -> PropagatorResult:
@@ -529,22 +573,20 @@ def propagate_transfer_matrix(cfg: PropagatorConfig,
     oracles.analytic_propagator(..., source_width=s).
     """
     evolve = Sweep(cfg)  # size guard before any grid-sized array
-    momentum = cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration
-    x = cfg.space.points()
-    ja = cfg.space.nearest_index(cfg.a)
-    jb = cfg.space.nearest_index(cfg.b)
+    ja, jb, snap_a, snap_b = _endpoints(cfg)
     if source_width is None:
         psi = np.zeros(cfg.space.sites, dtype=complex)
         psi[ja] = 1.0 / cfg.space.dx
         value = complex(evolve(psi)[jb])
     else:
+        momentum = cfg.lag.mass * (cfg.b - cfg.a) / cfg.grid.duration
+        x = cfg.space.points()
         psi = evolve(gaussian_window(x, cfg.a, source_width, momentum, cfg.hbar))
         wb = gaussian_window(x, cfg.b, source_width, momentum, cfg.hbar)
         value = complex((np.conj(wb) * psi).sum() * cfg.space.dx)
     return PropagatorResult(
         value=Amplitude.from_complex(value), method="transfer_matrix",
-        k=cfg.grid.k, sites=cfg.space.sites,
-        snap_a=abs(x[ja] - cfg.a), snap_b=abs(x[jb] - cfg.b))
+        k=cfg.grid.k, sites=cfg.space.sites, snap_a=snap_a, snap_b=snap_b)
 
 
 def compose(kernel_from_a: np.ndarray, kernel_to_b: np.ndarray, dx: float) -> Amplitude:
@@ -577,11 +619,10 @@ def _ordered_sum(fn, jobs):
 def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     """Exact sum over all sites^(k-1) interior assignments, endpoints pinned.
 
-    Each step's factor e^{i S_step / hbar} is evaluated once on site pairs
-    at the step's midpoint time (a row out of a for step 1, a column into
-    b for step k, a sites x sites block for each interior step) by the
-    sweep's rule: 0 where V is not finite, and InvalidParameter where the
-    phase is not finite at a finite V.  The products of factors over the
+    Each step's factor e^{i S_step / hbar} is the dense step's less
+    norm * dx (_step_factor) on a row out of a for step 1, a column into b
+    for step k and a sites x sites block for each interior step, by the
+    sweep's rule for V (module docstring).  The products of factors over the
     fastest interior sites are broadcast into one block of at most about
     _ENUM_CHUNK paths (at least one site's worth), the remaining sites are
     looped over in mixed radix, and each block's path weights are summed
@@ -600,26 +641,12 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     total = sites ** n_int
     if total > _ENUM_GUARD:
         raise TooLarge(f"{sites}^{n_int} = {total} interior assignments exceed {_ENUM_GUARD}")
-    x = cfg.space.points()
-    dx = cfg.space.dx
-    eps = cfg.grid.epsilon
-    ja = cfg.space.nearest_index(cfg.a)
-    jb = cfg.space.nearest_index(cfg.b)
-    tmids = cfg.grid.midpoint_times()
-
-    def step_weight(i, r0, r1):
-        vm = cfg.lag.v(0.5 * (r1 + r0), tmids[i - 1])
-
-        def exponent():
-            drv = (r1 - r0) / eps
-            return 1j * ((0.5 * cfg.lag.mass * drv * drv - vm) * eps) / cfg.hbar
-        return _exp_phase(cfg, exponent, vm)
-
-    xa, xb = x[ja:ja + 1], x[jb:jb + 1]
+    ja, jb, snap_a, snap_b = _endpoints(cfg)
     # steps[i - 1][p, q]: e^{i S / hbar} of step i from site p to site q,
     # where step 1 leaves a and step k enters b, each as index 0
-    steps = [step_weight(i, (xa if i == 1 else x)[:, None],
-                         (xb if i == k else x)[None, :])
+    steps = [_step_factor(cfg, i, 1.0,
+                          slice(ja, ja + 1) if i == 1 else slice(None),
+                          slice(jb, jb + 1) if i == k else slice(None))
              for i in range(1, k + 1)]
     fast = 1
     while fast < n_int and sites ** (fast + 1) <= _ENUM_CHUNK:
@@ -640,10 +667,10 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     sizes = [sites] * n_int + [1]
     blocks = list(itertools.product(*map(range, sizes[fast:])))
     acc = _ordered_sum(block_weight, blocks)
-    value = (cfg.norm_per_step ** k) * (dx ** n_int) * acc
+    value = (cfg.norm_per_step ** k) * (cfg.space.dx ** n_int) * acc
     return PropagatorResult(
         value=Amplitude.from_complex(complex(value)), method="enumeration",
-        k=k, sites=sites, snap_a=abs(x[ja] - cfg.a), snap_b=abs(x[jb] - cfg.b))
+        k=k, sites=sites, snap_a=snap_a, snap_b=snap_b)
 
 
 def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
@@ -652,9 +679,11 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
 
     Paths are drawn from the free Euclidean bridge measure between a and b
     (sequential Gaussian conditionals, no accept/reject step), and each
-    carries the weight e^{-(eps/hbar) * sum_i V(midpoint_i)}.  The
-    estimator is the free Euclidean kernel times the mean weight, so for
-    V = 0 it is exact with zero variance.
+    carries the weight e^{-(eps/hbar) * sum_i V(midpoint_i)}, 0 through a
+    wall (V = +inf).  V = -inf or NaN on the space grid at t_a, or at a
+    sampled midpoint, raises UnboundedPotential.  The estimator is the
+    free Euclidean kernel times the mean weight, so for V = 0 it is exact
+    with zero variance.
 
     A sample is drawn as half its deviation from the straight line
     a -> b, h_i = alpha_i h_{i-1} + (sd_i / 2) z_i with alpha_i =
@@ -686,9 +715,8 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     k = cfg.grid.k
     eps = cfg.grid.epsilon
     mass, hbar = cfg.lag.mass, cfg.hbar
-    vgrid = cfg.lag.v(cfg.space.points(), cfg.grid.t_a)
-    if np.any(np.isneginf(vgrid)) or np.any(np.isnan(vgrid)):
-        raise UnboundedPotential("potential is not bounded below on the space grid")
+    _refuse_unbounded(cfg.lag.v(cfg.space.points(), cfg.grid.t_a),
+                      "on the space grid")
     tmids = cfg.grid.midpoint_times()
     T = cfg.grid.duration
     kfree = math.sqrt(mass / (2.0 * math.pi * hbar * T)) \
@@ -723,8 +751,8 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
             mid += line[i - 1]
             vsum += cfg.lag.v(mid, tmids[i - 1])
             prev, cur = cur, prev
-        logw = vsum * (-eps / hbar)
-        w = np.where(np.isfinite(logw), np.exp(logw), 0.0)
+        _refuse_unbounded(vsum, "at a sampled path's midpoints")
+        w = np.exp(vsum * (-eps / hbar))
         return np.array([w.sum(), (w * w).sum()])
 
     sum_w, sum_w2 = _ordered_sum(chunk_sums, range(n_chunks)).tolist()

@@ -278,6 +278,8 @@ def test_overflowing_site_counts_exit_3(tmp_path, monkeypatch, capsys, text):
     "t_total = 3.2e-150\n",
     "experiment = concentration_scan\nmass = 1e-306\nb = 2e154\n"
     "hbar_values = 1.0\n",
+    "experiment = propagator_convergence\nfamily = harmonic\nomega = 1e5\n"
+    "hbar = 1e300\n",
 ])
 def test_products_out_of_float_range_are_refused(tmp_path, capsys, text):
     # omega ** 2 overflows; hbar * t_total, the time step, the oracle's
@@ -286,7 +288,8 @@ def test_products_out_of_float_range_are_refused(tmp_path, capsys, text):
     # underflows to 0; the step's quadratic fit overflows; a window's
     # square overflows, a weight of 0, before the oracle's determinant
     # underflows; the step's kinetic chirp phase overflows; the path
-    # action's kinetic term overflows, a nonfinite action
+    # action's kinetic term overflows, a nonfinite action; the harmonic
+    # potential overflows on the recipe grid
     cfgf = _write(tmp_path, "x.cfg", text)
     assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) in (2, 3)
     assert capsys.readouterr().err.startswith("cardpath: ")
@@ -457,15 +460,15 @@ def test_runners_return_records_and_write_nothing(tmp_path, monkeypatch,
 
 
 def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys):
-    # omega * t_total far out of range: the engine's value is NaN.  The
-    # numpy warnings on the way, which pytest turns into errors, are
-    # silenced here; the record is refused before any file is written
+    # omega * t_total far out of range: the harmonic potential overflows on
+    # the recipe grid and is refused where it is formed, with no numpy
+    # warning on the way (pytest makes one an error), before any file is
+    # written
     cfgf = _write(tmp_path, "nan.cfg", "experiment = propagator_convergence\n"
                   "family = harmonic\nomega = 1e150\nt_total = 1e10\n")
     out = tmp_path / "o"
-    with np.errstate(all="ignore"):
-        assert run(cfgf, out_dir=str(out), quiet=True) == 3
-    assert "not finite" in capsys.readouterr().err
+    assert run(cfgf, out_dir=str(out), quiet=True) == 3
+    assert "harmonic potential overflows" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -134,13 +134,18 @@ def test_step_matrix_is_symmetric():
 
 
 def _count_builds(monkeypatch):
+    # the engine's dense builds: _step hands the step factor the V it has
+    # read, while step_matrix, _dense_sweep's reference, and the
+    # enumeration read their own
     builds = []
+    factor = propagator._step_factor
 
-    def counted(*args, **kwargs):
-        builds.append(args)
-        return step_matrix(*args, **kwargs)
+    def counted(cfg, step_index, *args, v=None):
+        if v is not None:
+            builds.append(step_index)
+        return factor(cfg, step_index, *args, v=v)
 
-    monkeypatch.setattr(propagator, "step_matrix", counted)
+    monkeypatch.setattr(propagator, "_step_factor", counted)
     return builds
 
 
@@ -503,6 +508,44 @@ def test_hard_wall_paths_drop_out_consistently():
     assert abs(ke - propagate_enumerate(free_cfg).value.to_complex()) > 1e-6
 
 
+@pytest.mark.parametrize("bad", [-math.inf, math.nan])
+def test_potential_unbounded_below_or_undefined_is_refused(bad):
+    # +inf is a wall, but V = -inf or NaN outside |r| <= 0.8 has no path
+    # sum: the sweep, the enumeration and the naive oracle all refuse it
+    lag = LagrangianSpec(mass=1.0, label="sink", potential=lambda r, t:
+                         np.where(np.abs(r) > 0.8, bad, 0.0))
+    cfg = _small_cfg(lag, k=3, sites=9, a=0.0, b=0.2)
+    for run in (propagate_transfer_matrix, propagate_enumerate,
+                naive_enumeration):
+        with pytest.raises(UnboundedPotential):
+            run(cfg)
+
+
+def test_each_step_reads_the_potential_once():
+    # V at the 2 sites - 1 midpoints, once per step: _step hands the V it
+    # has read to the dense step, for a wall and under the cost rule, and
+    # the enumeration takes each step's pair factors from it
+    calls = []
+
+    def counted(v):
+        def potential(r, t):
+            calls.append(np.size(r))
+            return v(r, t)
+        return potential
+
+    walled = LagrangianSpec(mass=1.0, potential=counted(_walled))
+    quartic = LagrangianSpec(mass=1.0,
+                             potential=counted(lambda r, t: 0.1 * r ** 4))
+    for lag, sites in ((walled, 60), (quartic, 12)):
+        calls.clear()
+        assert isinstance(propagator._step(_small_cfg(lag, sites=sites), 1),
+                          np.ndarray)
+        assert calls == [2 * sites - 1]
+    calls.clear()
+    propagate_enumerate(_small_cfg(quartic, k=4, sites=30))
+    assert calls == [59] * 4
+
+
 def _at_zero(potential, hbar, t_b, k, sites, deriv=None):
     """a = b = 0 on sites points of [-1, 1], over [0, t_b] in k steps."""
     return PropagatorConfig(
@@ -600,33 +643,28 @@ def test_enumeration_blocks_match_digit_form_and_naive_oracle(monkeypatch, chunk
 
 def _serial_block_enumeration(cfg):
     # propagate_enumerate's blocks one after another on one thread, their
-    # weights added in mixed-radix order of the slow sites
-    k, sites, eps = cfg.grid.k, cfg.space.sites, cfg.grid.epsilon
-    x = cfg.space.points()
-    tmids = cfg.grid.midpoint_times()
+    # weights added in mixed-radix order of the slow sites, from the
+    # engine's step factors: a row out of a, a column into b, and full
+    # blocks between
+    k, sites = cfg.grid.k, cfg.space.sites
+    everywhere = slice(None)
 
-    def step_weight(i, r0, r1):
-        drv = (r1 - r0) / eps
-        vm = cfg.lag.v(0.5 * (r1 + r0), tmids[i - 1])
-        S = (0.5 * cfg.lag.mass * drv * drv - vm) * eps
-        ok = np.isfinite(S)
-        w = np.zeros(S.shape, dtype=complex)
-        w[ok] = np.exp(1j * S[ok] / cfg.hbar)
-        return w
+    def step_weight(i, rows, cols):
+        return propagator._step_factor(cfg, i, 1.0, rows, cols)
 
     n_int = k - 1
     ja, jb = cfg.space.nearest_index(cfg.a), cfg.space.nearest_index(cfg.b)
-    xa, xb = x[ja:ja + 1], x[jb:jb + 1]
-    pairs = [step_weight(i, x[:, None], x[None, :]) for i in range(2, k)]
-    last = step_weight(k, x, xb)
+    at_a, at_b = slice(ja, ja + 1), slice(jb, jb + 1)
+    pairs = [step_weight(i, everywhere, everywhere) for i in range(2, k)]
+    last = step_weight(k, everywhere, at_b)[:, 0]
     fast = 1
     while fast < n_int and sites ** (fast + 1) <= propagator._ENUM_CHUNK:
         fast += 1
-    head = step_weight(1, xa, x)
+    head = step_weight(1, at_a, everywhere)[0]
     for block in pairs[:fast - 1]:
         head = head[..., None] * block
     if n_int == 0:
-        acc = np.sum(step_weight(1, xa, xb))
+        acc = np.sum(step_weight(1, at_a, at_b))
     elif fast == n_int:
         acc = np.sum(head * last)
     else:
@@ -1002,6 +1040,15 @@ def test_monte_carlo_guards():
     lag = LagrangianSpec(mass=1.0, potential=bottomless, label="sink")
     with pytest.raises(UnboundedPotential):
         propagate_monte_carlo_euclidean(_small_cfg(lag), samples=200, seed=0)
+
+    # bounded on the grid at t_a, but -inf where the samples go later
+    def late_sink(r, t):
+        return np.where((r > 0.3) & (t > 0.5), -np.inf, 0.0)
+
+    lag = LagrangianSpec(mass=1.0, potential=late_sink, time_dependent=True)
+    with pytest.raises(UnboundedPotential):
+        propagate_monte_carlo_euclidean(_small_cfg(lag, k=4, sites=9, a=0.0,
+                                                   b=0.2), 1000, seed=0)
 
 
 def test_time_dependent_potential_rebuilds_steps():
