@@ -161,6 +161,10 @@ def free_particle(mass: float = 1.0) -> LagrangianSpec:
 
 
 def harmonic_oscillator(mass: float = 1.0, omega: float = 1.0) -> LagrangianSpec:
+    """V = m omega^2 r^2 / 2.  Where V passes float range it raises
+    InvalidParameter, in every caller (the sweep, the enumeration, the
+    Euclidean Monte Carlo and discretized_action): the overflow is not
+    read as a wall, as an explicit V = +inf is."""
     # the potential's omega ** 2 raises OverflowError where omega * omega
     # is inf
     if not math.isfinite(mass * (omega * omega)):

@@ -260,12 +260,12 @@ def _midpoint_potential(cfg: PropagatorConfig, step_index: int):
     return r, cfg.lag.v(r, cfg.grid.midpoint_times()[step_index - 1])
 
 
-def _refuse_unbounded(v, where: str) -> None:
-    """Raise UnboundedPotential where V (v) is -inf or NaN: +inf is a wall,
-    which no path crosses, but a potential unbounded below or undefined
-    has no path sum."""
+def _refuse_unbounded(v, what: str) -> None:
+    """Raise UnboundedPotential where v, values of V named by what, is -inf
+    or NaN: +inf is a wall, which no path crosses, but a potential
+    unbounded below or undefined has no path sum."""
     if not np.all(v > -np.inf):
-        raise UnboundedPotential(f"the potential is -inf or NaN {where}")
+        raise UnboundedPotential(f"{what} is -inf or NaN")
 
 
 def _exp_phase(cfg: PropagatorConfig, exponent, v=None) -> np.ndarray:
@@ -274,7 +274,7 @@ def _exp_phase(cfg: PropagatorConfig, exponent, v=None) -> np.ndarray:
     UnboundedPotential where V is -inf or NaN, and InvalidParameter where
     z is not finite at a finite V."""
     if v is not None:
-        _refuse_unbounded(v, "at a step's midpoints")
+        _refuse_unbounded(v, "the potential at a step's midpoints")
     with np.errstate(all="ignore"):
         z = exponent()
     ok = np.isfinite(z)
@@ -680,10 +680,14 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     Paths are drawn from the free Euclidean bridge measure between a and b
     (sequential Gaussian conditionals, no accept/reject step), and each
     carries the weight e^{-(eps/hbar) * sum_i V(midpoint_i)}, 0 through a
-    wall (V = +inf).  V = -inf or NaN on the space grid at t_a, or at a
-    sampled midpoint, raises UnboundedPotential.  The estimator is the
-    free Euclidean kernel times the mean weight, so for V = 0 it is exact
-    with zero variance.
+    wall (V = +inf).  V = -inf or NaN on the space grid at t_a, or a
+    sampled path's summed V that is -inf or NaN (a -inf or NaN midpoint,
+    or finite values so negative that the sum overflows), raises
+    UnboundedPotential.  A potential that refuses its own overflow, as
+    lattice.harmonic_oscillator's does, raises its InvalidParameter here
+    too, on the grid or at a sampled midpoint, where it is not read as a
+    wall.  The estimator is the free Euclidean kernel times the mean
+    weight, so for V = 0 it is exact with zero variance.
 
     A sample is drawn as half its deviation from the straight line
     a -> b, h_i = alpha_i h_{i-1} + (sd_i / 2) z_i with alpha_i =
@@ -716,7 +720,7 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     eps = cfg.grid.epsilon
     mass, hbar = cfg.lag.mass, cfg.hbar
     _refuse_unbounded(cfg.lag.v(cfg.space.points(), cfg.grid.t_a),
-                      "on the space grid")
+                      "the potential on the space grid")
     tmids = cfg.grid.midpoint_times()
     T = cfg.grid.duration
     kfree = math.sqrt(mass / (2.0 * math.pi * hbar * T)) \
@@ -751,7 +755,7 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
             mid += line[i - 1]
             vsum += cfg.lag.v(mid, tmids[i - 1])
             prev, cur = cur, prev
-        _refuse_unbounded(vsum, "at a sampled path's midpoints")
+        _refuse_unbounded(vsum, "the potential summed over a sampled path")
         w = np.exp(vsum * (-eps / hbar))
         return np.array([w.sum(), (w * w).sum()])
 

@@ -280,6 +280,8 @@ def test_overflowing_site_counts_exit_3(tmp_path, monkeypatch, capsys, text):
     "hbar_values = 1.0\n",
     "experiment = propagator_convergence\nfamily = harmonic\nomega = 1e5\n"
     "hbar = 1e300\n",
+    "experiment = propagator_convergence\nfamily = harmonic\nomega = 1e150\n"
+    "t_total = 1e10\n",
 ])
 def test_products_out_of_float_range_are_refused(tmp_path, capsys, text):
     # omega ** 2 overflows; hbar * t_total, the time step, the oracle's
@@ -289,7 +291,7 @@ def test_products_out_of_float_range_are_refused(tmp_path, capsys, text):
     # square overflows, a weight of 0, before the oracle's determinant
     # underflows; the step's kinetic chirp phase overflows; the path
     # action's kinetic term overflows, a nonfinite action; the harmonic
-    # potential overflows on the recipe grid
+    # potential overflows on the recipe grid (two configs)
     cfgf = _write(tmp_path, "x.cfg", text)
     assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) in (2, 3)
     assert capsys.readouterr().err.startswith("cardpath: ")
@@ -459,16 +461,18 @@ def test_runners_return_records_and_write_nothing(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, capsys):
-    # omega * t_total far out of range: the harmonic potential overflows on
-    # the recipe grid and is refused where it is formed, with no numpy
-    # warning on the way (pytest makes one an error), before any file is
-    # written
-    cfgf = _write(tmp_path, "nan.cfg", "experiment = propagator_convergence\n"
-                  "family = harmonic\nomega = 1e150\nt_total = 1e10\n")
+def test_non_finite_result_exits_3_and_writes_nothing(tmp_path, monkeypatch,
+                                                     capsys):
+    # a runner whose record holds a NaN: the record is refused before any
+    # file is written
+    def nan_runner(params, seed):
+        return "nan", {"value": math.nan}, None, "propagator_convergence: nan"
+
+    monkeypatch.setitem(cli._RUNNERS, "propagator_convergence", nan_runner)
+    cfgf = _write(tmp_path, "nan.cfg", "experiment = propagator_convergence\n")
     out = tmp_path / "o"
     assert run(cfgf, out_dir=str(out), quiet=True) == 3
-    assert "harmonic potential overflows" in capsys.readouterr().err
+    assert "not finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1050,6 +1050,17 @@ def test_monte_carlo_guards():
         propagate_monte_carlo_euclidean(_small_cfg(lag, k=4, sites=9, a=0.0,
                                                    b=0.2), 1000, seed=0)
 
+    # a harmonic V past float range is refused, not read as a wall: on the
+    # space grid of [-2, 2], and at sampled midpoints beyond |r| = 1.4 when
+    # the grid of [-1, 1] passes
+    osc = harmonic_oscillator(omega=1.3e154)
+    wide = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 4),
+                            space=SpaceGrid(-2.0, 2.0, 9), lag=osc, hbar=1.0,
+                            a=0.0, b=0.2)
+    for cfg in (wide, _small_cfg(osc, hbar=100.0, a=0.0, b=0.2)):
+        with pytest.raises(InvalidParameter, match="harmonic potential overflows"):
+            propagate_monte_carlo_euclidean(cfg, 200, seed=0)
+
 
 def test_time_dependent_potential_rebuilds_steps():
     # ramp potential V = c(t) independent of r: contributes a pure phase
