@@ -64,21 +64,45 @@ def finite_difference_action_gradient(path: LatticePath, lag: LagrangianSpec,
     return out
 
 
+def _tridiagonal_solve(diag, off, rhs) -> np.ndarray:
+    """x with A x = rhs for the symmetric tridiagonal A of diagonal diag
+    and off-diagonal off, by LU with no pivoting.
+
+    The operations are those of LAPACK's dgtsv where it exchanges no rows
+    (|d_i| >= |off_i| at every pivot, as in a diagonally dominant A): the
+    pivots d_{i+1} -= (off_i / d_i) off_i with rhs eliminated alongside,
+    then back substitution x_i = (rhs_i - off_i x_{i+1}) / d_i.  Raises
+    NoConvergence at a pivot that is zero or not finite.
+    """
+    d, b, u = diag.tolist(), rhs.tolist(), off.tolist()
+    for i in range(len(d)):
+        if not (d[i] != 0.0 and math.isfinite(d[i])):
+            raise NoConvergence(f"the Newton solve's pivot {i} is {d[i]!r}")
+        if i < len(u):
+            fact = u[i] / d[i]
+            d[i + 1] -= fact * u[i]
+            b[i + 1] -= fact * b[i]
+    b[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        b[i] = (b[i] - u[i] * b[i + 1]) / d[i]
+    return np.array(b)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float,
                    b: float) -> LatticePath:
     """Stationary point of the lattice action with pinned endpoints.
 
     Damped Newton iteration on the interior sites; the Hessian of the
-    midpoint-rule action is tridiagonal, so each step is a banded solve.
-    Starts from the straight line and stops when the max-norm of the
-    gradient falls below _NEWTON_TOL.  Raises NoConvergence, not a float
-    warning, when the gradient or the Hessian leaves float64 range.
+    midpoint-rule action is symmetric tridiagonal, so each step is one
+    _tridiagonal_solve.  Starts from the straight line and stops when the
+    max-norm of the gradient falls below _NEWTON_TOL.  Raises
+    NoConvergence, not a float warning, when the gradient or the Hessian
+    leaves float64 range or the solve meets a zero pivot.
     """
     k = grid.k
     if k == 1:
         return LatticePath((float(a), float(b)))
-    from scipy.linalg import solve_banded
     eps = grid.epsilon
     r = np.linspace(a, b, k + 1)
     for _ in range(_NEWTON_ITERATIONS):
@@ -90,14 +114,11 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float,
             lambda s, t: central_difference(lag.v_prime, s, t), r, grid)
         diag = 2.0 * lag.mass / eps - 0.25 * eps * (vpp[:-1] + vpp[1:])
         off = -lag.mass / eps - 0.25 * eps * vpp[1:-1]
-        ab = np.zeros((3, k - 1))
-        ab[1] = diag
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-        if not (math.isfinite(gnorm) and np.isfinite(ab).all()):
+        if not (math.isfinite(gnorm) and np.isfinite(diag).all()
+                and np.isfinite(off).all()):
             raise NoConvergence("the action's gradient or Hessian is not "
                                 "finite in float64")
-        step = solve_banded((1, 1), ab, -g)
+        step = _tridiagonal_solve(diag, off, -g)
         alpha = 1.0
         while alpha > 1e-6:
             trial = r.copy()

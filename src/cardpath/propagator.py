@@ -16,7 +16,7 @@ j + j', so T is a Toeplitz matrix times a Hankel matrix, elementwise.  A
 quadratic fit c0 + c1 r + c2 r^2 to V at the midpoints moves into two
 diagonals and the Toeplitz factor, and what it leaves is a Hankel factor
 e^{-i eps (V - fit) / hbar} of rank r under adaptive cross approximation.
-A step is then r Toeplitz products applied with scipy.fft by circulant
+A step is then r Toeplitz products applied with numpy.fft by circulant
 embedding at padded length L ~ 2 * sites: O(r * sites log sites) time and
 about 16 * r * (L + 2 * sites) bytes.  A quadratic V (free, linear,
 harmonic, or quadratic in r at each step's midpoint time) is the exact
@@ -39,13 +39,15 @@ Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
 It takes each step's pair factors from the dense step's kin and pot (with
 norm * dx left out): V at the 2*sites - 1 midpoints and 3*sites - 1
 exponentials per step, a row out of a for step 1, a column into b for
-step k and a sites x sites block for each interior step.  It then spends
-one complex multiply per path per step and no exponential per path, in
-blocks of at most about 2^16 paths (or one site's worth):
-O(k * sites^(k-1)) time and O(CPUs * 2^16 + k * sites^2) memory, and
-O(sites) per step at k <= 2.  The blocks run on the process's CPUs, one
-thread each, and their sums are added in block order, so the value has
-the same bits on any number of CPUs.  V is evaluated on the calling
+step k and a sites x sites block for each interior step; a
+time-independent V is read and exponentiated once, and its interior
+steps share one block.  It then spends one complex multiply per path per
+step and no exponential per path, in blocks of at most about 2^16 paths
+(or one site's worth): O(k * sites^(k-1)) time and O(CPUs * 2^16 +
+k * sites^2) memory (sites^2 for a time-independent V), and O(sites) per
+step at k <= 2.  The blocks run on the process's CPUs, one thread each,
+and their sums are added in block order, so the value has the same bits
+on any number of CPUs.  V is evaluated on the calling
 thread before the blocks start.
 
 The Euclidean Monte Carlo draws k - 1 normals per sample, in chunks of
@@ -220,6 +222,30 @@ def _fft_bytes(sites, size, rank=1):
     return 16 * (2 * sites - 1) + 16 * size + 16 * rank * (size + 2 * sites)
 
 
+def _fast_len(target: int) -> int:
+    """The least 2^a 3^b 5^c 7^d 11^e >= target, a length at which numpy's
+    FFT (pocketfft) is fast: scipy.fft.next_fast_len's for a complex
+    transform.  Each odd 11-smooth m below the best so far is tried with
+    the least power of 2 that lifts it to target."""
+    best = 1 << (target - 1).bit_length()
+    m11 = 1
+    while m11 < best:
+        m7 = m11
+        while m7 < best:
+            m5 = m7
+            while m5 < best:
+                m3 = m5
+                while m3 < best:
+                    m = m3 << ((target - 1) // m3).bit_length()
+                    if m < best:
+                        best = m
+                    m3 *= 3
+                m5 *= 5
+            m7 *= 7
+        m11 *= 11
+    return best
+
+
 def _max_rank(sites, size, applies):
     """The largest rank whose FFT step arrays at padded length size, with
     the probes of _aca, of about the size of _ACA_PROBES more ranks, are
@@ -231,7 +257,8 @@ def _max_rank(sites, size, applies):
     rank = (_DENSE_GUARD - _fft_bytes(sites, size, _ACA_PROBES)) // per_rank
     if 16 * sites * sites <= _DENSE_GUARD:
         # per apply, in ns, measured at 500-6,000 sites (2-core x86, numpy
-        # 2.4.6, scipy 1.17.1): rank r takes 4e4 r + 0.9 r^2 sites to
+        # 2.4.6, with scipy.fft, whose batched transforms numpy.fft's
+        # match to 5% at rank 27): rank r takes 4e4 r + 0.9 r^2 sites to
         # approximate and 18 r L to apply, the matrix 3.2 sites^2 to build
         # and 0.6 sites^2 to apply; the root of a r^2 + b r = c
         m = float(applies)
@@ -286,16 +313,21 @@ def _exp_phase(cfg: PropagatorConfig, exponent, v=None) -> np.ndarray:
     return w
 
 
+_WHOLE = (slice(None), slice(None))
+
+
 def _step_factor(cfg: PropagatorConfig, step_index: int, scale,
-                 rows=slice(None), cols=slice(None), v=None) -> np.ndarray:
-    """The block [rows, cols] (slices) of scale * e^{i S_step / hbar} on
-    site pairs at step step_index, kin[|j' - j|] * pot[j + j'] with kin[d] =
-    scale * e^{i m (d dx)^2 / (2 eps hbar)} and pot[s] = e^{-i eps V(r_s) /
-    hbar} at the midpoints (V = v when the caller has read it); TooLarge
-    before V is read when the block would exceed _DENSE_GUARD bytes."""
+                 blocks=(_WHOLE,), v=None) -> list:
+    """The blocks [rows, cols] (pairs of slices) of scale * e^{i S_step /
+    hbar} on site pairs at step step_index, one array each, from one kin
+    and one pot: kin[|j' - j|] * pot[j + j'] with kin[d] = scale *
+    e^{i m (d dx)^2 / (2 eps hbar)} and pot[s] = e^{-i eps V(r_s) / hbar}
+    at the midpoints (V = v when the caller has read it); TooLarge before
+    V is read when the blocks together would exceed _DENSE_GUARD bytes."""
     n = cfg.space.sites
-    shape = len(range(n)[rows]), len(range(n)[cols])
-    guard_bytes(16 * shape[0] * shape[1], "a %d x %d step factor" % shape)
+    shapes = [(len(range(n)[rows]), len(range(n)[cols])) for rows, cols in blocks]
+    guard_bytes(16 * sum(a * b for a, b in shapes), "a step factor of " +
+                " and ".join("%d x %d" % shape for shape in shapes))
     if v is None:
         _, v = _midpoint_potential(cfg, step_index)
     eps, hbar = cfg.grid.epsilon, cfg.hbar
@@ -304,7 +336,8 @@ def _step_factor(cfg: PropagatorConfig, step_index: int, scale,
     kin = scale * _exp_phase(
         cfg, lambda: 1j * cfg.lag.mass * d * d / (2.0 * eps * hbar))
     toeplitz = sliding_window_view(np.concatenate([kin[:0:-1], kin]), n)[::-1]
-    return toeplitz[rows, cols] * sliding_window_view(pot, n)[rows, cols]
+    hankel = sliding_window_view(pot, n)
+    return [toeplitz[rows, cols] * hankel[rows, cols] for rows, cols in blocks]
 
 
 def step_matrix(cfg: PropagatorConfig, step_index: int = 1) -> np.ndarray:
@@ -319,7 +352,7 @@ def step_matrix(cfg: PropagatorConfig, step_index: int = 1) -> np.ndarray:
     _DENSE_GUARD bytes, UnboundedPotential where V is -inf or NaN, and
     InvalidParameter where a factor's phase is not finite at a finite V.
     """
-    return _step_factor(cfg, step_index, cfg.norm_per_step * cfg.space.dx)
+    return _step_factor(cfg, step_index, cfg.norm_per_step * cfg.space.dx)[0]
 
 
 def _quadratic_fit(r: np.ndarray, v: np.ndarray):
@@ -381,15 +414,14 @@ def _aca(h: np.ndarray, max_rank: int, size: int):
             i = int(np.argmax(np.where(free, np.abs(us[q - 1]), -1.0)))
             continue
         if x is None:
-            import scipy.fft
             rng = np.random.default_rng(0)
             x = (rng.standard_normal((_ACA_PROBES, n))
                  + 1j * rng.standard_normal((_ACA_PROBES, n))) / math.sqrt(2.0)
             # (H x)_i = sum_j h[i + j] x_j, a correlation that does not wrap
             # at a length of at least 2n - 1
-            hx = scipy.fft.fft(x.conj(), size).conj()
-            hx *= scipy.fft.fft(h, size)
-            hx = scipy.fft.ifft(hx, overwrite_x=True)[:, :n]
+            hx = np.fft.fft(x.conj(), size).conj()
+            hx *= np.fft.fft(h, size)
+            hx = np.fft.ifft(hx, out=hx)[:, :n]
         ex = hx - (x @ vs[:q].T) @ us[:q]
         if np.max(np.einsum("ij,ij->i", ex, ex.conj()).real) \
                 <= _ACA_PROBE_TOL * _ACA_PROBE_TOL * norm2:
@@ -409,7 +441,7 @@ def _step(cfg: PropagatorConfig, step_index: int):
     c0 + c1 r + c2 r^2 to within _FIT_PHASE_TOL of step phase, and
     otherwise of the rank r that _aca finds for the Hankel factor
     e^{-i eps (V - fit) / hbar}; both transform at the one padded length
-    L = next_fast_len(2 sites - 1).  The dense matrix, from the V read
+    L = _fast_len(2 sites - 1).  The dense matrix, from the V read
     here, when V is not finite at some midpoint (a wall makes that factor
     an indicator, of full rank), and when the rank-r step, built once and
     applied k times (once if V depends on time), would take longer than
@@ -425,8 +457,7 @@ def _step(cfg: PropagatorConfig, step_index: int):
     guard_bytes(_fft_bytes(n, 2 * n - 1), f"a {n}-site step operator")
     r, v = _midpoint_potential(cfg, step_index)
     if np.all(np.isfinite(v)):
-        import scipy.fft
-        size = scipy.fft.next_fast_len(2 * n - 1)
+        size = _fast_len(2 * n - 1)
         with np.errstate(over="ignore", invalid="ignore"):
             fit, resid = _quadratic_fit(r, v)
             phase = cfg.grid.epsilon * resid / cfg.hbar
@@ -437,7 +468,8 @@ def _step(cfg: PropagatorConfig, step_index: int):
                        _max_rank(n, size, applies), size)
         if factors is not None:
             return _FftStep(cfg, fit, factors, size)
-    return _step_factor(cfg, step_index, cfg.norm_per_step * cfg.space.dx, v=v)
+    return _step_factor(cfg, step_index, cfg.norm_per_step * cfg.space.dx,
+                        v=v)[0]
 
 
 class _FftStep:
@@ -458,35 +490,29 @@ class _FftStep:
     L = size, at least 2 sites - 1, with no sites x sites array.
 
     It owns one complex r x L work buffer (of length L at r = 1), and @
-    runs both transforms in it in place (scipy's overwrite_x gives the
-    bits of out-of-place calls) and multiplies the factors into it, so a
-    step allocates only its sites-long result and one step must not be
-    applied twice at once.
+    runs both numpy.fft transforms in it in place (out= gives the bits of
+    out-of-place calls) and multiplies the factors into it, so a step
+    allocates only its sites-long result and one step must not be applied
+    twice at once.
     The reused buffer keeps a step's cost independent of the state of the
     heap, where fresh L-long arrays on every step may be faulted in anew.
-
-    The transform is scipy.fft, which _step imports only for a finite V,
-    so that a run with dense steps only loads no scipy: numpy.fft gives
-    the same bits but measured 8-14% slower at L = 2,000-8,064 (numpy
-    2.4.6, also with out=).  Raises TooLarge, before allocating, when the
-    arrays at the padded length would exceed _DENSE_GUARD bytes, and
-    InvalidParameter when the phase of g is not finite.
+    Raises TooLarge, before allocating, when the arrays at the padded
+    length would exceed _DENSE_GUARD bytes, and InvalidParameter when the
+    phase of g is not finite.
     """
 
     def __init__(self, cfg: PropagatorConfig, fit, factors, size):
-        import scipy.fft
         n = cfg.space.sites
         rank = 1 if factors is None else len(factors[0])
         guard_bytes(_fft_bytes(n, size, rank), f"a {n}-site step operator")
         eps, hbar = cfg.grid.epsilon, cfg.hbar
         c0, c1, c2 = fit
         chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
-        self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft
         d = cfg.space.dx * np.arange(n)
         g = np.zeros(size, dtype=complex)
         g[:n] = _exp_phase(cfg, lambda: 1j * (chirp * d * d / hbar))
         g[size - n + 1:] = g[n - 1:0:-1]
-        self._g_hat = self._fft(g, overwrite_x=True)
+        self._g_hat = np.fft.fft(g, out=g)
         x = cfg.space.points()
         self._d_in = np.exp(-1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
         scale = cfg.norm_per_step * cfg.space.dx
@@ -506,9 +532,9 @@ class _FftStep:
         n, w = self._d_in.size, self._work
         np.multiply(self._v_in, psi, out=w[..., :n])
         w[..., n:] = 0.0
-        w = self._fft(w, overwrite_x=True)
+        np.fft.fft(w, out=w)
         w *= self._g_hat
-        w = self._ifft(w, overwrite_x=True)
+        np.fft.ifft(w, out=w)
         if self.rank == 1:
             return self._u_out * w[:n]
         return np.multiply(self._u_out, w[:, :n], out=w[:, :n]).sum(axis=0)
@@ -622,11 +648,12 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     Each step's factor e^{i S_step / hbar} is the dense step's less
     norm * dx (_step_factor) on a row out of a for step 1, a column into b
     for step k and a sites x sites block for each interior step, by the
-    sweep's rule for V (module docstring).  The products of factors over the
-    fastest interior sites are broadcast into one block of at most about
-    _ENUM_CHUNK paths (at least one site's worth), the remaining sites are
-    looped over in mixed radix, and each block's path weights are summed
-    with one np.sum.  Every path's weight is the product of its factors in
+    sweep's rule for V (module docstring).  A time-independent V is read
+    once, and its interior steps share one block.  The products of factors
+    over the fastest interior sites are broadcast into one block of at most
+    about _ENUM_CHUNK paths (at least one site's worth), the remaining
+    sites are looped over in mixed radix, and each block's path weights are
+    summed with one np.sum.  Every path's weight is the product of its factors in
     step order, ((w_1 w_2) ...) w_k, so its bits do not depend on the
     blocking, and it is finite even where the sum of its actions is not.
 
@@ -644,10 +671,17 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     ja, jb, snap_a, snap_b = _endpoints(cfg)
     # steps[i - 1][p, q]: e^{i S / hbar} of step i from site p to site q,
     # where step 1 leaves a and step k enters b, each as index 0
-    steps = [_step_factor(cfg, i, 1.0,
-                          slice(ja, ja + 1) if i == 1 else slice(None),
-                          slice(jb, jb + 1) if i == k else slice(None))
-             for i in range(1, k + 1)]
+    blocks = [(slice(ja, ja + 1) if i == 1 else slice(None),
+               slice(jb, jb + 1) if i == k else slice(None))
+              for i in range(1, k + 1)]
+    if cfg.lag.time_dependent:
+        steps = [_step_factor(cfg, i, 1.0, [block])[0]
+                 for i, block in enumerate(blocks, 1)]
+    elif k <= 2:
+        steps = _step_factor(cfg, 1, 1.0, blocks)
+    else:  # step 1, the interior steps' one block, step k
+        first, inner, last = _step_factor(cfg, 1, 1.0, blocks[:2] + blocks[-1:])
+        steps = [first] + [inner] * (k - 2) + [last]
     fast = 1
     while fast < n_int and sites ** (fast + 1) <= _ENUM_CHUNK:
         fast += 1
@@ -683,10 +717,11 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     wall (V = +inf).  V = -inf or NaN on the space grid at t_a, or a
     sampled path's summed V that is -inf or NaN (a -inf or NaN midpoint,
     or finite values so negative that the sum overflows), raises
-    UnboundedPotential.  A potential that refuses its own overflow, as
-    lattice.harmonic_oscillator's does, raises its InvalidParameter here
-    too, on the grid or at a sampled midpoint, where it is not read as a
-    wall.  The estimator is the free Euclidean kernel times the mean
+    UnboundedPotential, and a weight whose value, square or sum over the
+    samples is past float range raises InvalidParameter.  A potential that
+    refuses its own overflow, as lattice.harmonic_oscillator's does, raises
+    its InvalidParameter here too, on the grid or at a sampled midpoint,
+    where it is not read as a wall.  The estimator is the free Euclidean kernel times the mean
     weight, so for V = 0 it is exact with zero variance.
 
     A sample is drawn as half its deviation from the straight line
@@ -753,13 +788,22 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
                 cur.fill(0.0)
             np.add(prev, cur, out=mid)
             mid += line[i - 1]
-            vsum += cfg.lag.v(mid, tmids[i - 1])
+            v = cfg.lag.v(mid, tmids[i - 1])
+            with np.errstate(over="ignore"):  # -inf is refused below
+                vsum += v
             prev, cur = cur, prev
         _refuse_unbounded(vsum, "the potential summed over a sampled path")
-        w = np.exp(vsum * (-eps / hbar))
-        return np.array([w.sum(), (w * w).sum()])
+        with np.errstate(over="ignore"):
+            w = np.exp(vsum * (-eps / hbar))
+            return np.array([w.sum(), (w * w).sum()])
 
-    sum_w, sum_w2 = _ordered_sum(chunk_sums, range(n_chunks)).tolist()
+    with np.errstate(over="ignore"):
+        sums = _ordered_sum(chunk_sums, range(n_chunks))
+    if not np.all(np.isfinite(sums)):
+        raise InvalidParameter(
+            "a Monte Carlo weight e^{-(eps/hbar) sum V}, or its square, "
+            f"overflows float64 at eps = {eps!r}, hbar = {hbar!r}")
+    sum_w, sum_w2 = sums.tolist()
     mean_w = sum_w / samples
     var_w = max(0.0, (sum_w2 - samples * mean_w * mean_w) / max(samples - 1, 1))
     est = kfree * mean_w

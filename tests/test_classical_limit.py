@@ -59,6 +59,35 @@ def test_newton_no_convergence_when_starved(monkeypatch):
         classical_path(harmonic_oscillator(1.0, 1.0), grid, 0.0, 1.0)
 
 
+def test_tridiagonal_solve_matches_dense_solve():
+    # seeded strictly diagonally dominant systems shaped like the Newton
+    # Hessian of a convex V: about 2 m / eps on the diagonal and -m / eps
+    # off it
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 17, 200):
+        for _ in range(20):
+            off = -10.0 + rng.uniform(-1.0, 1.0, n - 1)
+            edges = np.abs(np.concatenate([[0.0], off, [0.0]]))
+            diag = edges[:-1] + edges[1:] + rng.uniform(0.1, 4.0, n)
+            rhs = rng.standard_normal(n)
+            a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            want = np.linalg.solve(a, rhs)
+            got = classical_limit._tridiagonal_solve(diag, off, rhs)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("diag, off", [
+    ([0.0, 2.0], [1.0]),  # the first pivot
+    ([1.0, 1.0, 3.0], [1.0, 0.5]),  # 1 - 1 * 1 = 0 after one elimination
+    ([1.0, math.nan], [0.5]),
+    ([1e-300, 1.0], [1e10]),  # 1 - 1e320 is -inf
+])
+def test_tridiagonal_solve_refuses_a_zero_or_non_finite_pivot(diag, off):
+    with pytest.raises(NoConvergence, match="pivot"):
+        classical_limit._tridiagonal_solve(np.array(diag), np.array(off),
+                                           np.ones(len(diag)))
+
+
 def test_fd_gradient_matches_analytic_on_generic_path():
     grid = TimeGrid(0.0, 1.0, 8)
     lag = harmonic_oscillator(1.2, 0.9)

@@ -208,9 +208,11 @@ def test_oversized_grids_exit_3_before_allocating(tmp_path, monkeypatch):
         assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 3, text
 
 
-def test_import_loads_no_scipy():
-    # nor concurrent.futures, which the sampling pool imports when it runs;
-    # a sweep of dense steps only (a hard wall) loads neither
+def test_import_loads_no_scipy(tmp_path):
+    # nor concurrent.futures, which the sampling pool imports when it runs:
+    # not the import, a sweep of dense steps only (a hard wall), a sweep of
+    # low-rank FFT steps (cross approximation and probes included) or a run
+    # of any stepping experiment, each in a fresh process
     walled = (
         "import numpy as np\n"
         "from cardpath.lattice import LagrangianSpec, SpaceGrid, TimeGrid\n"
@@ -221,9 +223,31 @@ def test_import_loads_no_scipy():
         "propagate_transfer_matrix(PropagatorConfig(\n"
         "    grid=TimeGrid(0.0, 1.0, 4), space=SpaceGrid(-2.0, 2.0, 60),\n"
         "    lag=lag, hbar=1.0, a=0.0, b=0.5), source_width=0.4)\n")
+    low_rank = (
+        "import numpy as np\n"
+        "from cardpath import propagator\n"
+        "from cardpath.lattice import LagrangianSpec\n"
+        "lag = LagrangianSpec(mass=1.0, potential=lambda r, t: 0.1 * r ** 4)\n"
+        "grid, space, _ = propagator.convergence_recipe(lag, 1.0, 1.0, 0.0, "
+        "0.5, k=24)\n"
+        "evolve = propagator.Sweep(propagator.PropagatorConfig(\n"
+        "    grid=grid, space=space, lag=lag, hbar=1.0, a=0.0, b=0.5))\n"
+        "assert evolve._first.rank > 1\n"
+        "evolve(np.ones(space.sites, dtype=complex))\n")
+    experiments = []
+    for name, text in (("free", "experiment = propagator_convergence\n"),
+                       ("harmonic", "experiment = propagator_convergence\n"
+                                    "family = harmonic\n"),
+                       ("slits", "experiment = interference\n"),
+                       ("scan", "experiment = concentration_scan\n"),
+                       ("scan_harmonic", "experiment = concentration_scan\n"
+                                         "family = harmonic\n")):
+        cfgf = _write(tmp_path, name + ".cfg", text)
+        experiments.append(f"assert cardpath.cli.run({cfgf!r}, out_dir="
+                           f"{str(tmp_path / name)!r}, quiet=True) == 0\n")
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    for run_code in ("", walled):
+    for run_code in ("", walled, low_rank, *experiments):
         code = ("import sys, cardpath, cardpath.cli\n" + run_code +
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
                 " or m.startswith('concurrent.futures')))")

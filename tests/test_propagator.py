@@ -451,7 +451,7 @@ def test_fft_apply_allocates_no_padded_temporary():
     cfg = _small_cfg(harmonic_oscillator(1.0, 1.0), k=2, sites=3000)
     op = propagator._step(cfg, 1)
     psi = gaussian_window(cfg.space.points(), 0.0, 0.3, 0.5, 1.0)
-    op @ psi  # first call: anything scipy sets up once per length
+    op @ psi  # first call: anything numpy.fft sets up once per length
     tracemalloc.start()
     try:
         for _ in range(3):
@@ -524,7 +524,9 @@ def test_potential_unbounded_below_or_undefined_is_refused(bad):
 def test_each_step_reads_the_potential_once():
     # V at the 2 sites - 1 midpoints, once per step: _step hands the V it
     # has read to the dense step, for a wall and under the cost rule, and
-    # the enumeration takes each step's pair factors from it
+    # the enumeration takes each step's pair factors from it, from one
+    # read for a time-independent V and one per step for a time-dependent
+    # one
     calls = []
 
     def counted(v):
@@ -541,9 +543,12 @@ def test_each_step_reads_the_potential_once():
         assert isinstance(propagator._step(_small_cfg(lag, sites=sites), 1),
                           np.ndarray)
         assert calls == [2 * sites - 1]
-    calls.clear()
-    propagate_enumerate(_small_cfg(quartic, k=4, sites=30))
-    assert calls == [59] * 4
+    td = LagrangianSpec(mass=1.0, time_dependent=True,
+                        potential=counted(lambda r, t: 0.1 * r ** 4 + t))
+    for lag, want in ((quartic, [59]), (td, [59] * 4)):
+        calls.clear()
+        propagate_enumerate(_small_cfg(lag, k=4, sites=30))
+        assert calls == want
 
 
 def _at_zero(potential, hbar, t_b, k, sites, deriv=None):
@@ -650,7 +655,7 @@ def _serial_block_enumeration(cfg):
     everywhere = slice(None)
 
     def step_weight(i, rows, cols):
-        return propagator._step_factor(cfg, i, 1.0, rows, cols)
+        return propagator._step_factor(cfg, i, 1.0, [(rows, cols)])[0]
 
     n_int = k - 1
     ja, jb = cfg.space.nearest_index(cfg.a), cfg.space.nearest_index(cfg.b)
@@ -1060,6 +1065,35 @@ def test_monte_carlo_guards():
     for cfg in (wide, _small_cfg(osc, hbar=100.0, a=0.0, b=0.2)):
         with pytest.raises(InvalidParameter, match="harmonic potential overflows"):
             propagate_monte_carlo_euclidean(cfg, 200, seed=0)
+
+
+def test_monte_carlo_weight_past_float_range_is_refused():
+    # V = -1e306 everywhere gives each path the weight e^{1e306}, and
+    # V = -1e3 the weight e^{1e3}: refused by name, with no float warning,
+    # as is V = -1e308, whose sum over a path's midpoints is -inf; a finite
+    # weight keeps its value
+    def flat(depth):
+        return LagrangianSpec(mass=1.0, potential=lambda r, t: depth + 0.0 * r)
+
+    for depth in (-1e306, -1e3):
+        with pytest.raises(InvalidParameter, match="Monte Carlo weight"):
+            propagate_monte_carlo_euclidean(
+                _small_cfg(flat(depth), k=4, sites=9, a=0.0, b=0.2), 200, seed=0)
+    with pytest.raises(UnboundedPotential, match="summed over a sampled path"):
+        propagate_monte_carlo_euclidean(
+            _small_cfg(flat(-1e308), k=4, sites=9, a=0.0, b=0.2), 200, seed=0)
+    got = propagate_monte_carlo_euclidean(
+        _small_cfg(flat(-100.0), k=4, sites=9, a=0.0, b=0.2), 200, seed=0)
+    free = propagate_monte_carlo_euclidean(
+        _small_cfg(k=4, sites=9, a=0.0, b=0.2), 200, seed=0)
+    assert got.value.re == pytest.approx(free.value.re * math.exp(100.0), rel=1e-14)
+    assert got.stderr == 0.0
+
+
+def test_fast_len_is_scipys_complex_fast_length():
+    import scipy.fft
+    assert [propagator._fast_len(n) for n in range(1, 20_000)] \
+        == [scipy.fft.next_fast_len(n) for n in range(1, 20_000)]
 
 
 def test_time_dependent_potential_rebuilds_steps():
