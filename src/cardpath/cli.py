@@ -27,8 +27,8 @@ import numpy as np
 
 from . import classical_limit as cl_mod
 from .errors import CardpathError, ConfigError, NoConvergence
-from .intermediate_set import (MappingDistribution, realize_images,
-                               unit_set_counts)
+from .intermediate_set import (MappingDistribution, _ks_uniform,
+                               realize_images, unit_set_counts)
 from .lattice import SpaceGrid, TimeGrid, free_particle, harmonic_oscillator
 from .oracles import AnalyticKernel, analytic_propagator
 from .propagator import (RECIPE_K, PropagatorConfig, Sweep, convergence_recipe,
@@ -36,9 +36,11 @@ from .propagator import (RECIPE_K, PropagatorConfig, Sweep, convergence_recipe,
                          propagate_transfer_matrix, site_count)
 
 # bytes per point that mapping_demo may hold at its peak.  tracemalloc
-# measures about 75 at 4e5 and 1.2e6 points: scipy's KS test on the images
-# (about 58) next to the coordinates and images (16); the seeded draw and
-# the CSV text live one block at a time.  320 keeps a wide margin.
+# measures 208 at 1e5 points, 64 at 4e5 and 40 at 1.2e6: the seeded draw's
+# blocks, about 19 MB whatever the count, next to the coordinates and
+# images (16), or, at large counts, the KS test's sorted copy, step grid
+# and gap array (24); the CSV text lives one block at a time.  320 keeps a
+# wide margin.
 _MAPPING_POINT_BYTES = 320
 _CSV_BLOCK = 1 << 16  # rows that _write_csv formats at a time
 
@@ -315,22 +317,20 @@ def mapping_demo(p: dict, seed: int):
 
     The countable coordinates are spread over `units` unit sets so the
     partition is visible in the output; the realized images are checked
-    against the target distribution.  Raises TooLarge, before any
-    population-sized array exists, when its arrays would exceed the size
-    guard at their peak.
+    against the target distribution by a two-sided one-sample KS test in
+    numpy, with the statistic and p-value of scipy.stats.kstest, so no
+    scipy module is loaded.  Raises TooLarge, before any population-sized
+    array exists, when its arrays would exceed the size guard at their
+    peak.
     """
     count, units = p["count"], p["units"]
     guard_bytes(count * _MAPPING_POINT_BYTES, f"a population of {count} points")
-    from scipy import stats
-
     dist = MappingDistribution.uniform(p["lo"], p["hi"])
     # the bits of units * i / count: _validate keeps units * count below 2**53
     ns = np.arange(count) * units / count if count else np.empty(0)
     images = realize_images(ns, dist, seed)
     if count:
-        ks = stats.kstest(images, stats.uniform(loc=p["lo"],
-                                                scale=p["hi"] - p["lo"]).cdf)
-        ks_stat, ks_pval = float(ks.statistic), float(ks.pvalue)
+        ks_stat, ks_pval = _ks_uniform(images, p["lo"], p["hi"])
         summary = f"mapping_demo: {count} points, KS={ks_stat:.4f} (p={ks_pval:.3f})"
     else:
         # An empty population still produces output files; the KS test is

@@ -211,8 +211,9 @@ def test_oversized_grids_exit_3_before_allocating(tmp_path, monkeypatch):
 def test_import_loads_no_scipy(tmp_path):
     # nor concurrent.futures, which the sampling pool imports when it runs:
     # not the import, a sweep of dense steps only (a hard wall), a sweep of
-    # low-rank FFT steps (cross approximation and probes included) or a run
-    # of any stepping experiment, each in a fresh process
+    # low-rank FFT steps (cross approximation and probes included), a run
+    # of any stepping experiment or a mapping_demo with its KS test, each
+    # in a fresh process
     walled = (
         "import numpy as np\n"
         "from cardpath.lattice import LagrangianSpec, SpaceGrid, TimeGrid\n"
@@ -241,7 +242,14 @@ def test_import_loads_no_scipy(tmp_path):
                        ("slits", "experiment = interference\n"),
                        ("scan", "experiment = concentration_scan\n"),
                        ("scan_harmonic", "experiment = concentration_scan\n"
-                                         "family = harmonic\n")):
+                                         "family = harmonic\n"),
+                       ("mapping", "experiment = mapping_demo\n"),
+                       ("mapping_big", "experiment = mapping_demo\n"
+                                       "count = 100000\nseed = 7\n"),
+                       ("mapping_empty", "experiment = mapping_demo\n"
+                                         "count = 0\n"),
+                       ("mapping_one", "experiment = mapping_demo\n"
+                                       "count = 1\n")):
         cfgf = _write(tmp_path, name + ".cfg", text)
         experiments.append(f"assert cardpath.cli.run({cfgf!r}, out_dir="
                            f"{str(tmp_path / name)!r}, quiet=True) == 0\n")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from cardpath.errors import (CardpathError, InvalidDistribution,
                              InvalidParameter)
-from cardpath.intermediate_set import (MappingDistribution, _uniforms,
+from cardpath.intermediate_set import (MappingDistribution, _ks_uniform,
+                                       _kolmogorov_sf, _uniforms,
                                        realize_images, unit_set_counts)
 
 EDGE_NS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
@@ -130,6 +131,112 @@ def test_invalid_densities_rejected():
     with pytest.raises(InvalidDistribution):
         # integrates to 2, not 1
         MappingDistribution.from_density(0.0, 1.0, lambda r: 2.0 * np.ones_like(r))
+
+
+def test_density_verdicts_need_quadrature_not_the_grid():
+    # a step and a kink between nodes integrate to one; a rule on the CDF
+    # grid's nodes alone would refuse the step, which falls on a node
+    for density in (lambda r: 2.0 * r,
+                    lambda r: 2.0 * (r > 0.5),
+                    lambda r: 4.0 * np.minimum(r, 1.0 - r)):
+        MappingDistribution.from_density(0.0, 1.0, density)
+    for density in (lambda r: 2.0 * np.ones_like(r),
+                    lambda r: -np.ones_like(r),
+                    lambda r: np.where(np.abs(r - 0.5) < 0.1, -1.0, 1.0),
+                    lambda r: np.full_like(r, 1e308)):
+        with pytest.raises(InvalidDistribution):
+            MappingDistribution.from_density(0.0, 1.0, density)
+    # the CDF grid of a density with no mass on it, or past float range,
+    # is refused without a warning, also where nothing checks the integral
+    for density in (np.zeros_like, lambda r: np.full_like(r, 1e308)):
+        with pytest.raises(InvalidDistribution):
+            MappingDistribution(0.0, 1.0, density=density)
+
+
+@pytest.mark.parametrize("lo, hi, density", [
+    (0.0, 1.0, None),
+    (-2.0, 5.0, None),
+    (0.0, 1.0, lambda r: 2.0 * r),
+    (0.0, 1.0, lambda r: 2.0 * (r > 0.5)),
+    (-1.0, 3.0, lambda r: np.exp(-r) / (np.exp(1.0) - np.exp(-3.0))),
+], ids=["uniform", "uniform_shifted", "ramp", "step", "exp"])
+def test_cdf_grid_is_scipys_cumulative_trapezoid(lo, hi, density):
+    from scipy import integrate
+    dist = (MappingDistribution.uniform(lo, hi) if density is None
+            else MappingDistribution.from_density(lo, hi, density))
+    xs = np.linspace(lo, hi, dist._xs.size)
+    vals = (np.full_like(xs, 1.0 / (hi - lo)) if density is None
+            else np.asarray(density(xs), dtype=float))
+    want = integrate.cumulative_trapezoid(vals, xs, initial=0.0)
+    assert np.array_equal(dist._cdf_grid, want / want[-1])
+
+
+def _ks_branch_is_ported(n, d):
+    """Whether scipy's _kolmogn reaches a branch that _kolmogorov_sf ports
+    line for line at (n, d): every branch but twice the Smirnov tail,
+    which scipy computes in C, and Pomeranz's recursion, for which the
+    port takes Durbin's matrix."""
+    t = n * d
+    if d >= 1.0 or d <= 0.0 or t <= 1.0 or t >= n - 1:
+        return True
+    if d >= 0.5:
+        return False
+    if n <= 140:
+        return t * d <= 0.754693
+    return not 2.2 <= t * d < 370.0
+
+
+def _ks_grid():
+    # t = n d at and below 1/2 and 1 and from n - 1 up, n d**2 on both
+    # sides of every threshold of scipy's branch choice, d from 1/2 up,
+    # and, up to n = 1000, seeded draws of n d**2 below 20
+    rng = np.random.default_rng(2011)
+    for n in (1, 2, 5, 30, 140, 141, 1000, 100_000, 100_001, 1_000_000):
+        ts = [0.3, 0.5, 0.75, 1.0, n - 1.0, n - 0.5]
+        if n <= 140:
+            nd2 = [0.754, 0.754693, 0.7548, 3.99, 4.0, 4.01, 18.0]
+        else:
+            nd2 = [2.19, 2.2, 2.21, 18.0, 369.0, 370.0, 371.0]
+        ds = ([t / n for t in ts] + [math.sqrt(v / n) for v in nd2]
+              + [0.5, 0.5 + 0.5 / n, 0.75])
+        if n <= 1000:
+            ds += list(np.sqrt(rng.uniform(0.0, 20.0, 4) / n))
+        for d in ds:
+            if 0.0 < d < 1.0:
+                yield n, float(d)
+
+
+@pytest.mark.parametrize("n, d", list(_ks_grid()))
+def test_kolmogorov_sf_matches_kstwo(n, d):
+    from scipy import stats
+    got = float(_kolmogorov_sf(n, np.float64(d)))
+    want = float(stats.kstwo.sf(d, n))
+    if _ks_branch_is_ported(n, d):
+        assert got == want
+    elif want < np.finfo(float).tiny:
+        # below the normal range scipy's C sum loses bits: at n = 100000,
+        # n d**2 = 369 it gives 1.56e-321 where the exact sum, in 60-digit
+        # arithmetic, is 1.6235e-321 and this port 1.625e-321
+        assert got == pytest.approx(want, rel=0.1, abs=0.0)
+    else:
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 140, 141, 1000, 100_000])
+def test_ks_uniform_matches_kstest(n):
+    from scipy import stats
+    rng = np.random.default_rng(n)
+    samples = [rng.uniform(-2.0, 5.0, n),
+               rng.uniform(-2.0, 3.0, n),           # too few above 3
+               np.round(rng.uniform(-3.0, 6.0, n))]  # ties, and some outside
+    for x in samples:
+        stat, pvalue = _ks_uniform(x, -2.0, 5.0)
+        want = stats.kstest(x, stats.uniform(loc=-2.0, scale=7.0).cdf)
+        assert stat == float(want.statistic)
+        if _ks_branch_is_ported(n, stat):
+            assert pvalue == float(want.pvalue)
+        else:
+            assert pvalue == pytest.approx(float(want.pvalue), rel=1e-10, abs=0.0)
 
 
 def test_support_width_must_be_finite():
