@@ -33,6 +33,7 @@ from .propagator import (PropagatorConfig, Sweep, convergence_recipe,
 
 _NEWTON_TOL = 1e-10  # max-norm of the action gradient at a stationary path
 _NEWTON_ITERATIONS = 200
+_TINY = np.finfo(float).tiny  # below it a probability mass has underflowed
 
 
 def action_gradient(path: LatticePath, lag: LagrangianSpec,
@@ -164,7 +165,10 @@ def slice_tube_fractions(evolve: Sweep, delta: float,
 
     centers must hold the k+1 slice positions of the reference path.
     Time-independent potentials only: the backward sweep applies the same
-    steps as the forward one.
+    steps as the forward one.  Raises NoConvergence where a slice's
+    amplitude mass is below the smallest normal float, where it has
+    underflowed, or where its tube holds no grid site: either fraction
+    would read 0 whatever the path sum does.
     """
     cfg = evolve.cfg
     if cfg.lag.time_dependent:
@@ -185,8 +189,17 @@ def slice_tube_fractions(evolve: Sweep, delta: float,
     for i in range(1, k):
         beta = np.abs(fwd[i] * bwd[k - i]) * dx
         total = float(beta.sum())
-        inside = float(beta[np.abs(x - centers[i]) <= delta].sum())
-        fracs[i - 1] = inside / total if total > 0 else 0.0
+        if not total >= _TINY:
+            raise NoConvergence(f"slice {i}'s amplitude mass underflows to "
+                                f"{total!r}: no tube fraction can be read")
+        tube = np.abs(x - centers[i]) <= delta
+        if not tube.any():
+            raise NoConvergence(
+                f"the tube of half-width {delta!r} around slice {i}'s "
+                f"classical position {float(centers[i])!r} holds no site "
+                f"of a grid of spacing {dx!r}")
+        inside = float(beta[tube].sum())
+        fracs[i - 1] = inside / total
     return fracs
 
 
@@ -200,6 +213,9 @@ def packet_argmax_offset(evolve: Sweep, path: LatticePath) -> float:
         p0 = mass * (r_1 - r_0) / eps + (eps / 2) * V'((r_0 + r_1) / 2, t_{1/2}),
 
     so that it heads for b under any potential; path is that stationary path.
+    Raises NoConvergence where the peak |psi|^2 is below the smallest
+    normal float: it has underflowed, and its site says nothing of the
+    packet (all zeros read as site 0).
     """
     cfg = evolve.cfg
     eps = cfg.grid.epsilon
@@ -209,7 +225,11 @@ def packet_argmax_offset(evolve: Sweep, path: LatticePath) -> float:
     x = cfg.space.points()
     sigma = math.sqrt(cfg.hbar * cfg.grid.duration / (2.0 * cfg.lag.mass))
     psi = evolve(gaussian_window(x, cfg.a, sigma, p0, cfg.hbar))
-    amax = int(np.argmax(np.abs(psi) ** 2))
+    prob = np.abs(psi) ** 2
+    amax = int(np.argmax(prob))
+    if not prob[amax] >= _TINY:
+        raise NoConvergence(f"the packet's peak |psi|^2 underflows to "
+                            f"{float(prob[amax])!r}: it has no peak site")
     return abs(float(x[amax]) - cfg.b)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import classical_limit as cl_mod
 from .errors import CardpathError, ConfigError, NoConvergence
-from .intermediate_set import (MappingDistribution, _ks_uniform,
+from .intermediate_set import (_BLOCK, MappingDistribution, _ks_uniform,
                                realize_images, unit_set_counts)
 from .lattice import SpaceGrid, TimeGrid, free_particle, harmonic_oscillator
 from .oracles import AnalyticKernel, analytic_propagator
@@ -35,14 +35,17 @@ from .propagator import (RECIPE_K, PropagatorConfig, Sweep, convergence_recipe,
                          gaussian_window, guard_bytes,
                          propagate_transfer_matrix, site_count)
 
-# bytes per point that mapping_demo may hold at its peak.  tracemalloc
-# measures 208 at 1e5 points, 64 at 4e5 and 40 at 1.2e6: the seeded draw's
-# blocks, about 19 MB whatever the count, next to the coordinates and
-# images (16), or, at large counts, the KS test's sorted copy, step grid
-# and gap array (24); the CSV text lives one block at a time.  320 keeps a
-# wide margin.
-_MAPPING_POINT_BYTES = 320
-_CSV_BLOCK = 1 << 16  # rows that _write_csv formats at a time
+# bytes that mapping_demo may hold at its peak, per point and per unit
+# set.  With 4 unit sets tracemalloc measures 25.5 bytes a point at 4e5
+# points, 24.5 at 1.2e6 and 24.1 at 4e6: the coordinates, the images and
+# the KS test's sorted copy (24), next to one block (_BLOCK points) of the
+# draw's limb arrays, the KS steps and gaps or the CSV rows.  A unit set
+# adds up to 298 bytes (4e5 points in as many sets, 11-digit indices): its
+# count in a dict and in the record, and its share of the record's text,
+# which is built whole.  The guard takes 1.5 times each.
+_MAPPING_POINT_BYTES = 40
+_UNIT_SET_BYTES = 450
+_CSV_BLOCK = _BLOCK  # rows that _write_csv formats at a time
 
 
 def _as_float_list(v: str) -> tuple:
@@ -320,11 +323,13 @@ def mapping_demo(p: dict, seed: int):
     against the target distribution by a two-sided one-sample KS test in
     numpy, with the statistic and p-value of scipy.stats.kstest, so no
     scipy module is loaded.  Raises TooLarge, before any population-sized
-    array exists, when its arrays would exceed the size guard at their
-    peak.
+    array exists, when its arrays and its record of the unit sets would
+    exceed the size guard at their peak.
     """
     count, units = p["count"], p["units"]
-    guard_bytes(count * _MAPPING_POINT_BYTES, f"a population of {count} points")
+    sets = min(count, units)  # the distinct floor(units * i / count)
+    guard_bytes(count * _MAPPING_POINT_BYTES + sets * _UNIT_SET_BYTES,
+                f"a population of {count} points in {sets} unit sets")
     dist = MappingDistribution.uniform(p["lo"], p["hi"])
     # the bits of units * i / count: _validate keeps units * count below 2**53
     ns = np.arange(count) * units / count if count else np.empty(0)

@@ -31,7 +31,7 @@ from .errors import InvalidDistribution, InvalidParameter
 
 _DENSITY_TOL = 1e-9
 _CDF_NODES = 20001
-_UNIFORM_BLOCK = 1 << 16
+_BLOCK = 1 << 13  # points that each population-sized stage takes at a time
 _SMIRNOV_BLOCK = 1 << 16  # terms of the Birnbaum-Tingey sum taken at a time
 
 _MASK32 = 0xFFFFFFFF
@@ -177,27 +177,29 @@ def _pcg_step(state, inc):
     return _carry(acc)
 
 
-def _uniforms(ns: np.ndarray, seed: int) -> np.ndarray:
-    """The uniform draw of every countable coordinate in ns under seed.
+def _uniforms(ns: np.ndarray, seed: int, image=None) -> np.ndarray:
+    """The uniform draw of every countable coordinate in ns under seed,
+    or with image, the elementwise image(draw).
 
     Equals default_rng(SeedSequence(entropy=[seed mod 2**64, bits of n]))
     .random() for each n: the SeedSequence pool mix and
     generate_state(4, uint64), PCG64 seeding, one step, the XSL-RR output
     and (x >> 11) * 2**-53, in 32-bit limbs.
 
-    The draw is elementwise, so it runs over blocks of _UNIFORM_BLOCK
-    coordinates into one result: the limb arrays, about 290 bytes a
-    coordinate, then live for one block at a time, not for all of ns.
+    The draw is elementwise, so it runs over blocks of _BLOCK coordinates,
+    each mapped by image straight into one result: the limb arrays, about
+    290 bytes a coordinate, and the block's uniforms then live for one
+    block at a time, not for all of ns.
     """
     bits = np.ascontiguousarray(ns, dtype=np.float64).view(np.uint64)
     s = int(seed) & ((1 << 64) - 1)
     seed_words = [s & _MASK32] + ([s >> 32] if s >> 32 else [])
     flat = bits.reshape(-1)
-    u = np.empty(flat.shape)
-    for lo in range(0, flat.size, _UNIFORM_BLOCK):
-        u[lo:lo + _UNIFORM_BLOCK] = _uniform_block(flat[lo:lo + _UNIFORM_BLOCK],
-                                                   seed_words)
-    return u.reshape(bits.shape)
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, _BLOCK):
+        u = _uniform_block(flat[lo:lo + _BLOCK], seed_words)
+        out[lo:lo + _BLOCK] = u if image is None else image(u)
+    return out.reshape(bits.shape)
 
 
 def _uniform_block(bits: np.ndarray, seed_words) -> np.ndarray:
@@ -252,16 +254,21 @@ def realize_images(ns, dist: MappingDistribution, seed: int) -> np.ndarray:
     coordinates or their order.  Raises InvalidParameter if any n is not
     finite.
     """
-    return dist.inverse_cdf(_uniforms(_coordinates(ns), seed))
+    return _uniforms(_coordinates(ns), seed, dist.inverse_cdf)
 
 
 def unit_set_counts(ns) -> dict[int, int]:
     """The size of each unit set of the population ns, keyed by its index
     floor(n), in increasing index order.  Raises InvalidParameter if any n
-    is not finite.
+    is not finite.  The indices are counted _BLOCK coordinates at a time.
     """
-    ids, sizes = np.unique(np.floor(_coordinates(ns)), return_counts=True)
-    return {int(i): size for i, size in zip(ids.tolist(), sizes.tolist())}
+    flat = _coordinates(ns).reshape(-1)
+    counts = {}
+    for lo in range(0, flat.size, _BLOCK):
+        ids, sizes = np.unique(np.floor(flat[lo:lo + _BLOCK]), return_counts=True)
+        for i, size in zip(map(int, ids.tolist()), sizes.tolist()):
+            counts[i] = counts.get(i, 0) + size
+    return dict(sorted(counts.items()))
 
 
 # The two-sided one-sample Kolmogorov-Smirnov test against a uniform law.
@@ -314,16 +321,21 @@ def _ks_uniform(images: np.ndarray, lo: float, hi: float) -> tuple[float, float]
 
 def _ks_statistic(images, lo, hi):
     """max(D+, D-) of the sorted images' uniform CDF against the steps
-    i / n, in place where scipy makes a new array."""
+    i / n, in place where scipy makes a new array, and with the steps and
+    gaps made _BLOCK points at a time: a block's steps are the values of
+    scipy's, and a max is exact in any order."""
     n = images.size
     cdf = np.sort(images)
     cdf -= lo
     cdf /= hi - lo
     np.clip(cdf, 0.0, 1.0, out=cdf)
-    steps = np.arange(0.0, n + 1) / n
-    gap = np.subtract(steps[1:], cdf)
-    d_plus = gap.max()
-    d_minus = np.subtract(cdf, steps[:-1], out=gap).max()
+    d_plus = d_minus = -math.inf
+    for a in range(0, n, _BLOCK):
+        part = cdf[a:a + _BLOCK]
+        steps = np.arange(float(a), float(a + part.size) + 1) / n
+        gap = np.subtract(steps[1:], part)
+        d_plus = np.maximum(d_plus, gap.max())
+        d_minus = np.maximum(d_minus, np.subtract(part, steps[:-1], out=gap).max())
     return d_plus if d_plus > d_minus else d_minus
 
 

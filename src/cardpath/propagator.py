@@ -793,9 +793,12 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
                 vsum += v
             prev, cur = cur, prev
         _refuse_unbounded(vsum, "the potential summed over a sampled path")
-        with np.errstate(over="ignore"):
-            w = np.exp(vsum * (-eps / hbar))
-            return np.array([w.sum(), (w * w).sum()])
+        with np.errstate(over="ignore"):  # the weights, then their squares, in vsum
+            np.multiply(vsum, -eps / hbar, out=vsum)
+            np.exp(vsum, out=vsum)
+            sum_w = vsum.sum()
+            np.multiply(vsum, vsum, out=vsum)
+            return np.array([sum_w, vsum.sum()])
 
     with np.errstate(over="ignore"):
         sums = _ordered_sum(chunk_sums, range(n_chunks))

@@ -159,6 +159,32 @@ def test_slice_fractions_input_validation():
                              source_width=0.3)
 
 
+def test_slice_fractions_refuse_an_underflowed_mass_or_an_empty_tube():
+    evolve = Sweep(_fixed_cfg())
+    centers = np.linspace(0.0, 1.0, 7)
+    # windows 1e154 wide peak at 4e-155: every product fwd * bwd underflows
+    with pytest.raises(NoConvergence, match="underflows"):
+        slice_tube_fractions(evolve, 0.2, centers, source_width=1e154)
+    # the centers i / 6 are sites of the grid, of spacing 1/48: tubes of
+    # half-width 1e-3 hold one site each, and none when moved by 1e-2
+    with pytest.raises(NoConvergence, match="holds no site"):
+        slice_tube_fractions(evolve, 1e-3, centers + 1e-2, source_width=0.3)
+    assert np.all(slice_tube_fractions(evolve, 1e-3, centers,
+                                       source_width=0.3) > 0.0)
+
+
+def test_packet_offset_refuses_an_underflowed_peak():
+    # a mass of 1e-308 spreads the packet to 7e153: |psi|^2 underflows to
+    # 0 everywhere, where argmax would read site 0
+    lag = free_particle(1e-308)
+    cfg = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 6),
+                           space=SpaceGrid(-2.0, 3.0, 241),
+                           lag=lag, hbar=1.0, a=0.0, b=1.0)
+    path = classical_path(lag, cfg.grid, 0.0, 1.0)
+    with pytest.raises(NoConvergence, match="underflows"):
+        packet_argmax_offset(Sweep(cfg), path)
+
+
 def test_bad_arguments_are_cardpath_errors():
     cfg = _fixed_cfg()
     td = LagrangianSpec(mass=1.0, potential=lambda r, t: r * t,

@@ -334,14 +334,49 @@ def _untouchable(*args, **kwargs):
 
 
 def test_mapping_count_over_guard_exits_3(tmp_path, monkeypatch, capsys):
-    # about 320 bytes a point: 4e6 points are over the 1 GiB guard
+    # 40 bytes a point: 3e7 points are over the 1 GiB guard
     monkeypatch.setattr(cli.np, "arange", _untouchable)
     monkeypatch.setattr(cli, "realize_images", _untouchable)
-    cfgf = _write(tmp_path, "big.cfg", "experiment = mapping_demo\ncount = 4000000\n")
+    cfgf = _write(tmp_path, "big.cfg", "experiment = mapping_demo\ncount = 30000000\n")
     out = tmp_path / "o"
     assert run(cfgf, out_dir=str(out), quiet=True) == 3
     assert "guard" in capsys.readouterr().err
     assert not (out / "mapping.csv").exists()
+
+
+def test_mapping_unit_sets_over_guard_exit_3(tmp_path, monkeypatch, capsys):
+    # 3e6 points are within the guard in 4 unit sets, but each set's count
+    # and text in the record take 450 bytes more: 3e6 sets are over it
+    monkeypatch.setattr(cli.np, "arange", _untouchable)
+    monkeypatch.setattr(cli, "realize_images", _untouchable)
+    assert 3_000_000 * cli._MAPPING_POINT_BYTES < 1 << 30
+    cfgf = _write(tmp_path, "big.cfg",
+                  "experiment = mapping_demo\ncount = 3000000\nunits = 3000000\n")
+    out = tmp_path / "o"
+    assert run(cfgf, out_dir=str(out), quiet=True) == 3
+    assert "3000000 unit sets" in capsys.readouterr().err
+    assert not (out / "mapping.json").exists()
+
+
+@pytest.mark.parametrize("count, units", [(400000, 4), (100000, 100000)])
+def test_mapping_peak_within_guard(tmp_path, count, units):
+    # with few unit sets the peak is the coordinates, images and KS test's
+    # sorted copy, 24 bytes a point, beside one block of another stage: 32
+    # leaves no room for a fourth population-sized array.  Each unit set
+    # adds its count and its text in the record
+    import tracemalloc
+    cfgf = _write(tmp_path, "m.cfg", "experiment = mapping_demo\n"
+                  f"count = {count}\nunits = {units}\n")
+    tracemalloc.start()
+    try:
+        assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if units == 4:
+        assert peak <= 32 * count, peak
+    assert peak <= (count * cli._MAPPING_POINT_BYTES
+                    + min(units, count) * cli._UNIT_SET_BYTES), peak
 
 
 @pytest.mark.parametrize("body", [
@@ -364,6 +399,18 @@ def test_mapping_units_times_count_below_2_53_runs(tmp_path):
     assert run(cfgf, out_dir=str(tmp_path / "o"), quiet=True) == 0
     rows = (tmp_path / "o" / "mapping.csv").read_text().split("\n")[1:3]
     assert [float(r.split(",")[0]) for r in rows] == [0.0, 4503599627370495 / 2]
+
+
+def test_concentration_tube_without_sites_exits_3(tmp_path, capsys):
+    # the recipe grid's spacing is 1.3e151 at hbar = 1: no site lies within
+    # delta = 0.2 of a slice's classical position, and every tube fraction
+    # would read 0
+    cfgf = _write(tmp_path, "c.cfg", "experiment = concentration_scan\n"
+                  "mass = 2.59e-307\na = 4.38e150\n")
+    out = tmp_path / "o"
+    assert run(cfgf, out_dir=str(out), quiet=True) == 3
+    assert "holds no site" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_concentration_scan_huge_k_exits_3(tmp_path, monkeypatch, capsys):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardpath import intermediate_set
 from cardpath.errors import (CardpathError, InvalidDistribution,
                              InvalidParameter)
-from cardpath.intermediate_set import (MappingDistribution, _ks_uniform,
-                                       _kolmogorov_sf, _uniforms,
+from cardpath.intermediate_set import (MappingDistribution, _ks_statistic,
+                                       _ks_uniform, _kolmogorov_sf, _uniforms,
                                        realize_images, unit_set_counts)
 
 EDGE_NS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
@@ -62,6 +63,18 @@ def test_realize_images_matches_per_point_reference():
         for n, got in zip(ns, images):
             assert got == float(dist.inverse_cdf(reference_uniform(n, seed)))
             assert realize_images(np.array([n]), dist, seed)[0] == got
+
+
+@pytest.mark.parametrize("block", [1, 7, intermediate_set._BLOCK, 1 << 16])
+def test_realize_images_bits_do_not_depend_on_the_block(monkeypatch, block):
+    dist = MappingDistribution.from_density(0.0, 1.0, lambda r: 2.0 * r)
+    # blocks of one point take 0.5 ms each, so they draw a shorter population
+    ns = (np.arange(20000) * 3 / 20000 - 1.0)[:1000 if block == 1 else None]
+    want = dist.inverse_cdf(_uniforms(ns, 17))  # the draw, then the image
+    monkeypatch.setattr(intermediate_set, "_BLOCK", block)
+    assert np.array_equal(realize_images(ns, dist, 17), want)
+    got = realize_images(ns.reshape(-1, 200), dist, 17)
+    assert got.shape == (ns.size // 200, 200) and np.array_equal(got.ravel(), want)
 
 
 def test_realize_is_deterministic_and_one_shot():
@@ -239,6 +252,24 @@ def test_ks_uniform_matches_kstest(n):
             assert pvalue == pytest.approx(float(want.pvalue), rel=1e-10, abs=0.0)
 
 
+def _one_shot_ks_statistic(images, lo, hi):
+    cdf = np.clip((np.sort(images) - lo) / (hi - lo), 0.0, 1.0)
+    n = images.size
+    steps = np.arange(0.0, n + 1) / n
+    return max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max())
+
+
+@pytest.mark.parametrize("block", [1, 7, intermediate_set._BLOCK])
+@pytest.mark.parametrize("n", [1, 2, 8191, 8193, 20000])
+def test_ks_statistic_bits_do_not_depend_on_the_block(monkeypatch, n, block):
+    monkeypatch.setattr(intermediate_set, "_BLOCK", block)
+    rng = np.random.default_rng(n)
+    for x in (rng.uniform(-2.0, 5.0, n), rng.uniform(-2.0, 3.0, n),
+              np.round(rng.uniform(-3.0, 6.0, n))):
+        got = _ks_statistic(x, -2.0, 5.0)
+        assert got == _one_shot_ks_statistic(x, -2.0, 5.0)
+
+
 def test_support_width_must_be_finite():
     with pytest.raises(InvalidDistribution):
         MappingDistribution.uniform(-1e308, 1e308)
@@ -263,6 +294,18 @@ def test_unit_set_counts_partitions():
     assert all(type(idx) is int and type(size) is int
                for idx, size in counts.items())
     assert sum(counts.values()) == ns.size
+
+
+@pytest.mark.parametrize("block", [1, 7, intermediate_set._BLOCK])
+def test_unit_set_counts_match_unique(monkeypatch, block):
+    monkeypatch.setattr(intermediate_set, "_BLOCK", block)
+    rng = np.random.default_rng(3)
+    # unsorted, with sets that recur across blocks, and a sorted population
+    for ns in (rng.uniform(-40.0, 60.0, 20000), np.arange(20000) * 7 / 20000):
+        ids, sizes = np.unique(np.floor(ns), return_counts=True)
+        counts = unit_set_counts(ns)
+        assert list(counts.items()) == list(zip(ids.astype(int).tolist(),
+                                                sizes.tolist()))
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
