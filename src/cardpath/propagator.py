@@ -17,10 +17,11 @@ quadratic fit c0 + c1 r + c2 r^2 to V at the midpoints moves into two
 diagonals and the Toeplitz factor, and what it leaves is a Hankel factor
 e^{-i eps (V - fit) / hbar} of rank r under adaptive cross approximation.
 A step is then r Toeplitz products applied with numpy.fft by circulant
-embedding at padded length L ~ 2 * sites: O(r * sites log sites) time and
-about 16 * r * (L + 2 * sites) bytes.  A quadratic V (free, linear,
+embedding at padded length L ~ 2 * sites, in blocks of _ROW_BLOCK = 8:
+O(r * sites log sites) time and about 16 * (2 * r * sites + min(r, 8) * L)
+bytes, the factors and one block's work rows.  A quadratic V (free, linear,
 harmonic, or quadratic in r at each step's midpoint time) is the exact
-case r = 1; a quartic on a 2,986-site recipe grid has r = 33.  The dense
+case r = 1; a quartic on a 2,986-site recipe grid has r = 28.  The dense
 matrix, built from 3*sites - 1 exponentials and applied with BLAS in
 O(sites^2) time and 16 * sites^2 bytes, is kept for a V that is +inf at
 some midpoint (a hard wall makes the Hankel factor an indicator, of
@@ -126,11 +127,16 @@ _FIT_PHASE_TOL = 1e-12
 # gate against the dense steps; as set, the gated instances stay 10x
 # inside it.
 _ACA_TOL = 3e-15
-# Random vectors that check a stop of ACA, and the tolerance they check:
-# the FFT's rounding of H x alone reads 0.1 to 0.25 of _ACA_TOL at 5 to
-# 3,000 sites.
+# Pseudo-random vectors that check a stop of ACA, and the tolerance they
+# check: the FFT's rounding of H x alone reads 0.1 to 0.25 of _ACA_TOL at 5
+# to 3,000 sites.
 _ACA_PROBES = 2
 _ACA_PROBE_TOL = 10 * _ACA_TOL
+# Rows of a rank-r step transformed at once, the height of its work buffer:
+# on the 2,986-site quartic (r = 28) 8 rows hold 1.9 MB less than all r and
+# a step took 2.6 ms against 2.7 to 4.2 ms (2-core x86, numpy 2.4.6).  The
+# height does not change a step's bits.
+_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -217,9 +223,11 @@ def guard_bytes(nbytes, what: str) -> None:
 
 def _fft_bytes(sites, size, rank=1):
     """Bytes of the arrays of an FFT step of the given rank: the midpoints
-    and V there, g's transform at padded length size, and per rank a work
-    row of that length and its two sites-long factors."""
-    return 16 * (2 * sites - 1) + 16 * size + 16 * rank * (size + 2 * sites)
+    and V there, g's transform at padded length size, a work buffer of
+    min(rank, _ROW_BLOCK) rows of that length, and per rank its two
+    sites-long factors."""
+    return (16 * (2 * sites - 1) + 16 * size * (1 + min(rank, _ROW_BLOCK))
+            + 32 * rank * sites)
 
 
 def _fast_len(target: int) -> int:
@@ -247,14 +255,18 @@ def _fast_len(target: int) -> int:
 
 
 def _max_rank(sites, size, applies):
-    """The largest rank whose FFT step arrays at padded length size, with
-    the probes of _aca, of about the size of _ACA_PROBES more ranks, are
-    within _DENSE_GUARD bytes and, when the dense sites x sites matrix is
-    within the guard too, whose cross approximation and `applies` products
-    take less time than the matrix's build and as many products.  On
-    grids of up to 60 to 107 sites, by applies, that is no rank."""
-    per_rank = _fft_bytes(sites, size, 1) - _fft_bytes(sites, size, 0)
-    rank = (_DENSE_GUARD - _fft_bytes(sites, size, _ACA_PROBES)) // per_rank
+    """The largest rank whose FFT step arrays at padded length size
+    (_fft_bytes), with the probes of _aca and their transforms, are within
+    _DENSE_GUARD bytes and, when the dense sites x sites matrix is within
+    the guard too, whose cross approximation and `applies` products take
+    less time than the matrix's build and as many products.  On grids of
+    up to 60 to 107 sites, by applies, that is no rank."""
+    spare = (_DENSE_GUARD - _fft_bytes(sites, size, 0)
+             - 16 * _ACA_PROBES * (sites + size))
+    # a rank adds its two factors and, up to _ROW_BLOCK, a work row
+    rank = spare // (32 * sites + 16 * size)
+    if rank > _ROW_BLOCK:
+        rank = (spare - 16 * _ROW_BLOCK * size) // (32 * sites)
     if 16 * sites * sites <= _DENSE_GUARD:
         # per apply, in ns, measured at 500-6,000 sites (2-core x86, numpy
         # 2.4.6, with scipy.fft, whose batched transforms numpy.fft's
@@ -357,33 +369,60 @@ def step_matrix(cfg: PropagatorConfig, step_index: int = 1) -> np.ndarray:
 
 def _quadratic_fit(r: np.ndarray, v: np.ndarray):
     """(c0, c1, c2), the least-squares fit V ~ c0 + c1 r + c2 r^2 to finite
-    V at the midpoints r, and the residual V - fit there."""
+    V at the midpoints r, and the residual V - fit there.
+
+    The midpoints are uniform, so in u = (r - center) / half, on [-1, 1]
+    and symmetric about 0, the functions 1, u and p = u^2 - mean(u^2) are
+    orthogonal, and the fit is V's projection onto each: a few pairwise
+    sums, no LAPACK call."""
     center, half = 0.5 * (r[-1] + r[0]), 0.5 * (r[-1] - r[0])
     u = (r - center) / half
-    a0, a1, a2 = np.linalg.lstsq(np.stack([np.ones_like(u), u, u * u], axis=1),
-                                 v, rcond=None)[0]
+    p = u * u
+    mean_p = np.mean(p)
+    p -= mean_p
+    a1 = np.sum(v * u) / np.sum(u * u)
+    a2 = np.sum(v * p) / np.sum(p * p)
+    a0 = np.mean(v) - a2 * mean_p
     c2 = a2 / (half * half)
     c1 = a1 / half - 2.0 * c2 * center
     c0 = a0 - a1 * center / half + c2 * center * center
     return (c0, c1, c2), v - (c0 + (c1 + c2 * r) * r)
 
 
+def _probes(n: int) -> np.ndarray:
+    """_ACA_PROBES x n fourth roots of unity, a fixed function of the index:
+    entry [p, j] is i^k for k the top two bits of the splitmix64 hash of
+    p n + j + 1 (in numpy uint64 arithmetic, which wraps), so that, as for
+    independent uniform draws, E|x_j|^2 = 1 and E x_j conj(x_l) = 0 at
+    j != l, and no random number generator is needed."""
+    z = np.arange(1, _ACA_PROBES * n + 1, dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return np.array([1, 1j, -1, -1j])[z >> 62].reshape(_ACA_PROBES, n)
+
+
 def _aca(h: np.ndarray, max_rank: int, size: int):
     """(U, V), rank x sites arrays with sum_q U[q, i] V[q, j] equal to the
     Hankel matrix H[i, j] = h[i + j] to about _ACA_TOL of its Frobenius
     norm, which is sites as every |h[s]| = 1, or None when that takes more
-    than max_rank terms.
+    than max_rank terms.  U and V are the first rank rows of the two
+    buffers the terms were written into, which grow by doubling, and
+    nothing else refers to them, so the caller may scale them in place.
 
     Partially pivoted adaptive cross approximation (Bebendorf, Numer.
     Math. 86, 565 (2000)): each term is a residual row and column of H,
     i.e. slices of h, so it reads O(rank * sites) entries of H.  Its
     pivots may never reach a feature of h confined to a corner of H, such
     as a finite step at the first few midpoints, so a stop is checked by
-    probing: for _ACA_PROBES seeded random vectors x with E|x_j|^2 = 1,
-    whose |E x|^2 has the mean |E|_F^2 for the residual E, E x must be
-    within the tolerance too (H x by FFT at padded length size, at least
-    2 sites - 1, once, at the first stop).  Where it is not, the row of
-    its largest entry is the next pivot.
+    probing: for the _ACA_PROBES vectors x of _probes, whose |E x|^2 has
+    the mean |E|_F^2 for the residual E, E x must be within the tolerance
+    too (H x by FFT at padded length size, at least 2 sites - 1, once, at
+    the first stop).  Where it is not, the row of its largest entry is the
+    next pivot.
     """
     n = (h.size + 1) // 2
     x = None
@@ -414,9 +453,7 @@ def _aca(h: np.ndarray, max_rank: int, size: int):
             i = int(np.argmax(np.where(free, np.abs(us[q - 1]), -1.0)))
             continue
         if x is None:
-            rng = np.random.default_rng(0)
-            x = (rng.standard_normal((_ACA_PROBES, n))
-                 + 1j * rng.standard_normal((_ACA_PROBES, n))) / math.sqrt(2.0)
+            x = _probes(n)
             # (H x)_i = sum_j h[i + j] x_j, a correlation that does not wrap
             # at a length of at least 2n - 1
             hx = np.fft.fft(x.conj(), size).conj()
@@ -446,8 +483,8 @@ def _step(cfg: PropagatorConfig, step_index: int):
     an indicator, of full rank), and when the rank-r step, built once and
     applied k times (once if V depends on time), would take longer than
     the matrix, as every rank would on small grids, or its arrays, about
-    16 r (L + 2 sites) bytes, would exceed _DENSE_GUARD (_max_rank): then
-    _aca stops at that rank.
+    16 (2 r sites + min(r, _ROW_BLOCK) L) bytes, would exceed _DENSE_GUARD
+    (_max_rank): then _aca stops at that rank.
 
     Raises TooLarge before V is evaluated when even the rank-1 arrays at
     their least padded length would exceed _DENSE_GUARD bytes, and
@@ -489,11 +526,15 @@ class _FftStep:
     r Toeplitz products with g by circulant embedding at padded length
     L = size, at least 2 sites - 1, with no sites x sites array.
 
-    It owns one complex r x L work buffer (of length L at r = 1), and @
-    runs both numpy.fft transforms in it in place (out= gives the bits of
-    out-of-place calls) and multiplies the factors into it, so a step
-    allocates only its sites-long result and one step must not be applied
-    twice at once.
+    It keeps the factors that _aca returns, with D and scale multiplied
+    into them in place, and owns one complex work buffer of
+    min(r, _ROW_BLOCK) rows of length L (one row of length L at r = 1).
+    @ runs the rows through it in blocks of that many: both numpy.fft
+    transforms in place (out= gives the bits of out-of-place calls) and
+    the factors multiplied in, each block's rows added to the running sum
+    one after another, as one sum over all r rows adds them.  So a step
+    holds its factors and one block, allocates only its sites-long result,
+    and must not be applied twice at once.
     The reused buffer keeps a step's cost independent of the state of the
     heap, where fresh L-long arrays on every step may be faulted in anew.
     Raises TooLarge, before allocating, when the arrays at the padded
@@ -523,21 +564,41 @@ class _FftStep:
         if factors is None:
             self._v_in, self._u_out = self._d_in, self._d_out
         else:
-            self._u_out = factors[0] * self._d_out
-            self._v_in = factors[1] * self._d_in
-        self._work = np.empty((size,) if rank == 1 else (rank, size),
-                              dtype=complex)
+            self._u_out, self._v_in = factors
+            self._u_out *= self._d_out
+            self._v_in *= self._d_in
+        self._work = np.empty((size,) if rank == 1
+                              else (min(rank, _ROW_BLOCK), size), dtype=complex)
 
-    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        n, w = self._d_in.size, self._work
-        np.multiply(self._v_in, psi, out=w[..., :n])
+    def _convolve(self, v_in, psi, w):
+        """The Toeplitz products of g with v_in * psi (a row or rows), in
+        w, one such row or rows of padded length; returns the first sites
+        entries of each."""
+        n = psi.size
+        np.multiply(v_in, psi, out=w[..., :n])
         w[..., n:] = 0.0
         np.fft.fft(w, out=w)
         w *= self._g_hat
         np.fft.ifft(w, out=w)
+        return w[..., :n]
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
         if self.rank == 1:
-            return self._u_out * w[:n]
-        return np.multiply(self._u_out, w[:, :n], out=w[:, :n]).sum(axis=0)
+            return self._u_out * self._convolve(self._v_in, psi, self._work)
+        height = len(self._work)
+        for lo in range(0, self.rank, height):
+            u = self._u_out[lo:lo + height]
+            rows = self._convolve(self._v_in[lo:lo + height], psi,
+                                  self._work[:len(u)])
+            np.multiply(u, rows, out=rows)
+            # the rows are added one after another, the running sum first,
+            # as one sum over all r rows would add them
+            if lo == 0:
+                out = rows.sum(axis=0)
+            else:
+                rows[0] += out
+                rows.sum(axis=0, out=out)
+        return out
 
 
 class Sweep:

@@ -209,11 +209,12 @@ def test_oversized_grids_exit_3_before_allocating(tmp_path, monkeypatch):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # nor concurrent.futures, which the sampling pool imports when it runs:
-    # not the import, a sweep of dense steps only (a hard wall), a sweep of
-    # low-rank FFT steps (cross approximation and probes included), a run
-    # of any stepping experiment or a mapping_demo with its KS test, each
-    # in a fresh process
+    # nor concurrent.futures, which the sampling pool imports when it runs,
+    # nor numpy.random (ACA's probes are a hash of the index, and
+    # mapping_demo's draw is its own): not the import, a sweep of dense
+    # steps only (a hard wall), a sweep of low-rank FFT steps (cross
+    # approximation and probes included), a run of any stepping experiment
+    # or a mapping_demo with its KS test, each in a fresh process
     walled = (
         "import numpy as np\n"
         "from cardpath.lattice import LagrangianSpec, SpaceGrid, TimeGrid\n"
@@ -258,7 +259,7 @@ def test_import_loads_no_scipy(tmp_path):
     for run_code in ("", walled, low_rank, *experiments):
         code = ("import sys, cardpath, cardpath.cli\n" + run_code +
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-                " or m.startswith('concurrent.futures')))")
+                " or m.startswith(('concurrent.futures', 'numpy.random'))))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]", run_code

@@ -463,6 +463,43 @@ def test_fft_apply_allocates_no_padded_temporary():
     assert peak < 16 * op._work.size, peak
 
 
+def test_aca_step_footprint(monkeypatch):
+    # the k = 24 quartic's rank-r step scales ACA's factors in place and
+    # transforms its rows in blocks through one work buffer of _ROW_BLOCK
+    # rows: from the end of the cross approximation on, its build and three
+    # products peak within _fft_bytes, the spare rows of ACA's two buffers
+    # (the factors are their first r rows) and 16 sites-long temporaries.
+    # Copied factors (2r rows) or an r x L work buffer would not fit.
+    import tracemalloc
+    aca = propagator._aca
+    rows = []
+
+    def then_reset_peak(*args):
+        factors = aca(*args)
+        rows.append(len(factors[0].base))
+        tracemalloc.reset_peak()
+        return factors
+
+    monkeypatch.setattr(propagator, "_aca", then_reset_peak)
+    quartic = _anharmonic_lags()[0]
+    grid, space, _ = convergence_recipe(quartic, 1.0, 1.0, 0.0, 0.5, k=24)
+    cfg = PropagatorConfig(grid=grid, space=space, lag=quartic, hbar=1.0,
+                           a=0.0, b=0.5)
+    psi = gaussian_window(space.points(), 0.0, 0.3, 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        op = propagator._step(cfg, 1)
+        for _ in range(3):
+            op @ psi
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n, rank, size = space.sites, op.rank, propagator._fast_len(2 * space.sites - 1)
+    assert rank > propagator._ROW_BLOCK
+    spare = 32 * n * (rows[0] - rank)
+    assert peak < propagator._fft_bytes(n, size, rank) + spare + 16 * 16 * n, peak
+
+
 def test_site_count_guard():
     assert site_count(10.0) == 11
     assert site_count(10.2) == 12
