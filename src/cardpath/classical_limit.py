@@ -97,9 +97,11 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float,
     Damped Newton iteration on the interior sites; the Hessian of the
     midpoint-rule action is symmetric tridiagonal, so each step is one
     _tridiagonal_solve.  Starts from the straight line and stops when the
-    max-norm of the gradient falls below _NEWTON_TOL.  Raises
-    NoConvergence, not a float warning, when the gradient or the Hessian
-    leaves float64 range or the solve meets a zero pivot.
+    max-norm of the gradient falls below _NEWTON_TOL.  A trial step at which
+    lattice refuses V or V' as an overflow fails and is halved, as one that
+    does not reduce the gradient is.  Raises NoConvergence, not a float
+    warning, when the gradient or the Hessian leaves float64 range or the
+    solve meets a zero pivot.
     """
     k = grid.k
     if k == 1:
@@ -124,7 +126,10 @@ def classical_path(lag: LagrangianSpec, grid: TimeGrid, a: float,
         while alpha > 1e-6:
             trial = r.copy()
             trial[1:-1] += alpha * step
-            gt = action_gradient(LatticePath(tuple(trial)), lag, grid)
+            try:
+                gt = action_gradient(LatticePath(tuple(trial)), lag, grid)
+            except InvalidParameter:  # V or V' overflows at the trial
+                gt = np.inf
             if float(np.max(np.abs(gt))) < gnorm:
                 r = trial
                 break

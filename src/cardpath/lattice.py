@@ -4,9 +4,14 @@ The action uses the midpoint rule on each step:
 
     S = sum_i [ m/2 * ((r_i - r_{i-1}) / eps)^2 - V((r_i + r_{i-1})/2, t_{i-1/2}) ] * eps
 
-with eps = (t_b - t_a)/k and t_{i-1/2} = t_a + (i - 1/2)*eps.  A path with
-a midpoint potential of +inf, or a kinetic term past float range, gets a
-nonfinite action; the path sums give paths through a wall zero weight.
+with eps = (t_b - t_a)/k and t_{i-1/2} = t_a + (i - 1/2)*eps.
+
+One rule holds for V in every engine, read through LagrangianSpec.v and
+v_prime: numpy overflow inside the potential raises InvalidParameter naming
+its label; V = +inf is a wall, which gives a path a nonfinite action (as a
+kinetic term past float range does) and zero weight in the path sums; V =
+-inf or NaN is unbounded (UnboundedPotential).  Only numpy is watched: a
+potential that overflows in plain Python floats returns inf with no error.
 """
 from __future__ import annotations
 
@@ -120,12 +125,12 @@ class LagrangianSpec:
                 f"mass = {self.mass!r} must be positive and finite")
 
     def v(self, r, t):
-        return _shaped(self.potential, r, t)
+        return _shaped(self.potential, r, t, self.label or "V")
 
     def v_prime(self, r, t):
         if self.potential_deriv is None:
             return central_difference(self.v, r, t)
-        return _shaped(self.potential_deriv, r, t)
+        return _shaped(self.potential_deriv, r, t, f"{self.label or 'V'}'s derivative")
 
     def _at_midpoints(self, fn, r: np.ndarray, grid: TimeGrid) -> np.ndarray:
         """fn at each step's midpoint (r_{i-1} + r_i)/2 and midpoint time
@@ -141,10 +146,15 @@ class LagrangianSpec:
         return fn(mids, tmids[0])
 
 
-def _shaped(fn, r, t) -> np.ndarray:
-    """fn(r, t) as a float array of r's shape, with no copy if it is one."""
+def _shaped(fn, r, t, what: str) -> np.ndarray:
+    """fn(r, t) as a float array of r's shape, with no copy if it is one;
+    InvalidParameter, naming what fn is, where numpy overflows in it."""
     r = np.asarray(r, dtype=float)
-    values = np.asarray(fn(r, t), dtype=float)
+    try:
+        with np.errstate(over="raise"):
+            values = np.asarray(fn(r, t), dtype=float)
+    except FloatingPointError:
+        raise InvalidParameter(f"the potential {what} overflows float64") from None
     return values if values.shape == r.shape else np.broadcast_to(values, r.shape)
 
 
@@ -161,28 +171,14 @@ def free_particle(mass: float = 1.0) -> LagrangianSpec:
 
 
 def harmonic_oscillator(mass: float = 1.0, omega: float = 1.0) -> LagrangianSpec:
-    """V = m omega^2 r^2 / 2.  Where V passes float range it raises
-    InvalidParameter, in every caller (the sweep, the enumeration, the
-    Euclidean Monte Carlo and discretized_action): the overflow is not
-    read as a wall, as an explicit V = +inf is."""
-    # the potential's omega ** 2 raises OverflowError where omega * omega
-    # is inf
+    """V = m omega^2 r^2 / 2.  Where V passes float range, LagrangianSpec.v
+    refuses it, as for every potential (module docstring)."""
+    # omega ** 2 raises OverflowError where omega * omega is inf
     if not math.isfinite(mass * (omega * omega)):
         raise InvalidParameter(f"mass * omega**2 must be finite at mass = "
                                f"{mass!r}, omega = {omega!r}")
     half_k = 0.5 * mass * omega ** 2
-
-    def potential(r, t):
-        # r * r past float range is refused, not read as a wall
-        try:
-            with np.errstate(over="raise"):
-                return half_k * r * r
-        except FloatingPointError:
-            raise InvalidParameter(
-                f"the harmonic potential overflows at mass = {mass!r}, "
-                f"omega = {omega!r}") from None
-
-    return LagrangianSpec(mass=mass, potential=potential,
+    return LagrangianSpec(mass=mass, potential=lambda r, t: half_k * r * r,
                           potential_deriv=lambda r, t: mass * omega ** 2 * r,
                           label=f"harmonic(omega={omega:g})")
 

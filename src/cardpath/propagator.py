@@ -29,12 +29,11 @@ full rank) and for ranks whose build and products are measured to take
 longer than its own, as every rank does on small grids; the cross
 approximation stops at that rank, so a V of high rank costs about two
 dense builds.  Either step's arrays are held to one size guard, and
-either reads V once per step.  Every step factor, the enumeration's
-included, is 0 where V is +inf (no path crosses a wall), V = -inf or NaN
-is refused with UnboundedPotential (a potential unbounded below or
-undefined has no path sum), and a phase is refused with InvalidParameter
-where it is not finite at a finite V.  A Sweep builds step 1 when it is
-made and reuses it for every step when V is time-independent.
+either reads V once per step, by lattice's rule for V.  Every step factor,
+the enumeration's included, is 0 where V is +inf, and a phase is refused
+with InvalidParameter where it is not finite at a finite V.  A Sweep
+builds step 1 when it is made and reuses it for every step when V is
+time-independent.
 
 Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
 It takes each step's pair factors from the dense step's kin and pot (with
@@ -51,16 +50,9 @@ and their sums are added in block order, so the value has the same bits
 on any number of CPUs.  V is evaluated on the calling
 thread before the blocks start.
 
-The Euclidean Monte Carlo draws k - 1 normals per sample, in chunks of
-_MC_CHUNK samples with one seed each.  It carries half the bridge's
-deviation from the straight line a -> b, h_i = alpha_i h_{i-1} +
-(sd_i / 2) z_i with h_0 = h_k = 0, so that step i's midpoint is the
-line's plus h_{i-1} + h_i; it sums V over a sample's midpoints and scales
-the sum by -eps / hbar once per chunk.  Each chunk is one job on the
-process's CPUs, one thread each, and the chunks' weight sums are added in
-chunk order, so the estimate and its stderr have the same bits on any
-number of CPUs.  The potential is called from several threads at once, so
-it must be pure.
+The Euclidean Monte Carlo runs chunks of _MC_CHUNK samples, one seed and
+one job each, on the process's CPUs and folds them in chunk order, so its
+bits do not depend on their number; the potential must be pure.
 
 Grid stability (the convergence recipe).  The all-pairs step matrix is a
 sampled Fresnel chirp: its phase m d^2 / (2 hbar eps) advances by
@@ -300,9 +292,7 @@ def _midpoint_potential(cfg: PropagatorConfig, step_index: int):
 
 
 def _refuse_unbounded(v, what: str) -> None:
-    """Raise UnboundedPotential where v, values of V named by what, is -inf
-    or NaN: +inf is a wall, which no path crosses, but a potential
-    unbounded below or undefined has no path sum."""
+    """Raise UnboundedPotential where v, values of V named by what, is -inf or NaN."""
     if not np.all(v > -np.inf):
         raise UnboundedPotential(f"{what} is -inf or NaN")
 
@@ -690,17 +680,15 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _ordered_sum(fn, jobs):
-    """The sum of fn(job) over the jobs, added in job order; the jobs run
-    on a pool of min(_workers(), len(jobs)) threads.
-
-    The work must be numpy calls that release the interpreter lock for the
-    pool to gain anything.  The results are added in job order, not in the
-    order they finish, so the sum has the same bits on any number of CPUs.
+def _ordered_map(fn, jobs) -> list:
+    """[fn(job) for job in jobs], run on a pool of min(_workers(), len(jobs))
+    threads, which gains where fn's numpy calls release the interpreter
+    lock.  The results come in job order, not in the order they finish, so
+    a fold over them in that order has the same bits on any number of CPUs.
     """
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=min(_workers(), len(jobs))) as pool:
-        return sum(pool.map(fn, jobs))
+        return list(pool.map(fn, jobs))
 
 
 def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
@@ -761,7 +749,7 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
 
     sizes = [sites] * n_int + [1]
     blocks = list(itertools.product(*map(range, sizes[fast:])))
-    acc = _ordered_sum(block_weight, blocks)
+    acc = sum(_ordered_map(block_weight, blocks))
     value = (cfg.norm_per_step ** k) * (cfg.space.dx ** n_int) * acc
     return PropagatorResult(
         value=Amplitude.from_complex(complex(value)), method="enumeration",
@@ -774,36 +762,30 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
 
     Paths are drawn from the free Euclidean bridge measure between a and b
     (sequential Gaussian conditionals, no accept/reject step), and each
-    carries the weight e^{-(eps/hbar) * sum_i V(midpoint_i)}, 0 through a
-    wall (V = +inf).  V = -inf or NaN on the space grid at t_a, or a
-    sampled path's summed V that is -inf or NaN (a -inf or NaN midpoint,
-    or finite values so negative that the sum overflows), raises
-    UnboundedPotential, and a weight whose value, square or sum over the
-    samples is past float range raises InvalidParameter.  A potential that
-    refuses its own overflow, as lattice.harmonic_oscillator's does, raises
-    its InvalidParameter here too, on the grid or at a sampled midpoint,
-    where it is not read as a wall.  The estimator is the free Euclidean kernel times the mean
-    weight, so for V = 0 it is exact with zero variance.
+    carries the weight e^w, w = -(eps/hbar) * sum_i V(midpoint_i), 0
+    through a wall (V = +inf).  The estimate is the free Euclidean kernel
+    kfree times the mean weight, exact with zero variance for V = 0.  V
+    follows lattice's rule on the space grid at t_a and at every sampled
+    midpoint; a path's summed V that is -inf or NaN raises
+    UnboundedPotential, but one that overflows to -inf from finite values,
+    or a w of +inf, raises InvalidParameter.  Each chunk returns its
+    largest w and its sums of e^{w - max} and e^{2 (w - max)}, and the
+    chunks are folded in chunk order, rescaled to the running max; the
+    estimate kfree e^max mean and its stderr are formed from log kfree +
+    max, and refused (InvalidParameter) only where they are not finite.
 
     A sample is drawn as half its deviation from the straight line
     a -> b, h_i = alpha_i h_{i-1} + (sd_i / 2) z_i with alpha_i =
     tau_i / (tau_i + eps), tau_i = (k - i) eps and h_0 = h_k = 0: the same
     normals z_i, in the same order, give the same paths as the conditionals
-    of the positions.  Step i's midpoint is the line's plus h_{i-1} + h_i,
-    V is summed over the midpoints, and the sum is scaled by -eps / hbar
-    once per chunk.
+    of the positions.  Step i's midpoint is the line's plus h_{i-1} + h_i.
 
-    The samples come in chunks of _MC_CHUNK, and each chunk is one job on
-    a thread pool with one thread per CPU of the process (numpy's normal
-    draws and array loops release the interpreter lock).  Job c seeds its
-    draws with SeedSequence(seed, spawn_key=(c,)), the c-th child of
-    SeedSequence(seed).spawn, so no list of seeds is built up front; it
-    allocates its arrays once and updates the bridge in place.  The chunks' weight sums are added in
-    chunk order, so the estimate and its stderr are bitwise reproducible
-    and do not depend on the number of threads.  seed must be a
-    nonnegative integer (InvalidParameter otherwise: None would draw fresh
-    entropy from the OS).  The potential is called from several threads at
-    once and must be a pure, elementwise function.
+    Chunk c, of _MC_CHUNK samples, is one job on _ordered_map's pool,
+    seeded with SeedSequence(seed, spawn_key=(c,)), the c-th child of
+    SeedSequence(seed).spawn, so the estimate and its stderr are bitwise
+    reproducible on any number of threads.  seed must be a nonnegative
+    integer (InvalidParameter otherwise: None would draw fresh entropy from
+    the OS).  The potential must be a pure, elementwise function.
     """
     if not (isinstance(samples, numbers.Integral) and samples >= 100):
         raise InvalidParameter(
@@ -818,10 +800,8 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
     _refuse_unbounded(cfg.lag.v(cfg.space.points(), cfg.grid.t_a),
                       "the potential on the space grid")
     tmids = cfg.grid.midpoint_times()
-    T = cfg.grid.duration
-    kfree = math.sqrt(mass / (2.0 * math.pi * hbar * T)) \
-        * math.exp(-mass * (cfg.b - cfg.a) ** 2 / (2.0 * hbar * T))
     n_chunks = (samples + _MC_CHUNK - 1) // _MC_CHUNK
+    past_range = f"a Monte Carlo result is past float range at hbar = {hbar!r}"
     # per step i: the straight line a -> b at its midpoint time, and per
     # interior step its alpha = tau_rest / (tau_rest + eps) and half its sd
     line = [cfg.a + (cfg.b - cfg.a) * (i - 0.5) / k for i in range(1, k + 1)]
@@ -850,28 +830,47 @@ def propagate_monte_carlo_euclidean(cfg: PropagatorConfig, samples: int,
             np.add(prev, cur, out=mid)
             mid += line[i - 1]
             v = cfg.lag.v(mid, tmids[i - 1])
-            with np.errstate(over="ignore"):  # -inf is refused below
-                vsum += v
+            try:  # NaN, and -inf + inf, are refused below
+                with np.errstate(over="raise", invalid="ignore"):
+                    vsum += v
+            except FloatingPointError:  # raised after the add: read its sign
+                if np.any(np.isneginf(vsum) & np.isfinite(v)):
+                    raise InvalidParameter(past_range) from None
             prev, cur = cur, prev
         _refuse_unbounded(vsum, "the potential summed over a sampled path")
-        with np.errstate(over="ignore"):  # the weights, then their squares, in vsum
+        with np.errstate(over="ignore"):  # the log-weights w; +inf is refused
             np.multiply(vsum, -eps / hbar, out=vsum)
-            np.exp(vsum, out=vsum)
-            sum_w = vsum.sum()
-            np.multiply(vsum, vsum, out=vsum)
-            return np.array([sum_w, vsum.sum()])
+        top = float(vsum.max())
+        if top == math.inf:
+            raise InvalidParameter(past_range)
+        if top == -math.inf:  # every path goes through a wall
+            return top, 0.0, 0.0
+        vsum -= top
+        np.exp(vsum, out=vsum)  # the weights over e^top, then their squares
+        sum_w = float(vsum.sum())
+        np.multiply(vsum, vsum, out=vsum)
+        return top, sum_w, float(vsum.sum())
 
-    with np.errstate(over="ignore"):
-        sums = _ordered_sum(chunk_sums, range(n_chunks))
-    if not np.all(np.isfinite(sums)):
-        raise InvalidParameter(
-            "a Monte Carlo weight e^{-(eps/hbar) sum V}, or its square, "
-            f"overflows float64 at eps = {eps!r}, hbar = {hbar!r}")
-    sum_w, sum_w2 = sums.tolist()
-    mean_w = sum_w / samples
-    var_w = max(0.0, (sum_w2 - samples * mean_w * mean_w) / max(samples - 1, 1))
-    est = kfree * mean_w
-    stderr = kfree * math.sqrt(var_w / samples)
+    top, sum_w, sum_w2 = -math.inf, 0.0, 0.0
+    for c_top, c_w, c_w2 in _ordered_map(chunk_sums, range(n_chunks)):
+        new = max(top, c_top)
+        if new > -math.inf:
+            x, y = math.exp(top - new), math.exp(c_top - new)
+            top, sum_w, sum_w2 = new, sum_w * x + c_w * y, sum_w2 * x * x + c_w2 * y * y
+    est = stderr = 0.0
+    if sum_w > 0:  # not every path goes through a wall
+        mean_w = sum_w / samples
+        var_w = max(0.0, (sum_w2 - samples * mean_w * mean_w) / (samples - 1))
+        T, d = cfg.grid.duration, cfg.b - cfg.a
+        log_kfree = 0.5 * (math.log(mass) - math.log(2.0 * math.pi * hbar * T)) \
+            - mass * d * d / (2.0 * hbar * T)
+        try:
+            est = math.exp(log_kfree + top + math.log(mean_w))
+        except OverflowError:
+            est = math.inf
+        stderr = est * (math.sqrt(var_w / samples) / mean_w)
+        if not math.isfinite(stderr):  # est is finite where stderr is
+            raise InvalidParameter(past_range)
     return PropagatorResult(
         value=Amplitude(est, 0.0), method="monte_carlo",
         k=k, sites=cfg.space.sites, stderr=stderr)

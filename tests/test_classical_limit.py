@@ -9,7 +9,7 @@ from cardpath.classical_limit import (ConcentrationScan, action_gradient,
                                       finite_difference_action_gradient,
                                       packet_argmax_offset,
                                       slice_tube_fractions)
-from cardpath.errors import CardpathError, NoConvergence
+from cardpath.errors import CardpathError, InvalidParameter, NoConvergence
 from cardpath.lattice import (LagrangianSpec, LatticePath, SpaceGrid, TimeGrid,
                               discretized_action, free_particle,
                               harmonic_oscillator, linear_potential)
@@ -57,6 +57,37 @@ def test_newton_no_convergence_when_starved(monkeypatch):
     grid = TimeGrid(0.0, 1.0, 8)
     with pytest.raises(NoConvergence):
         classical_path(harmonic_oscillator(1.0, 1.0), grid, 0.0, 1.0)
+
+
+def test_newton_trial_where_the_potential_overflows_is_halved(monkeypatch):
+    # the first full Newton step from the straight line reaches r = -5,
+    # where the cliff term 1e308 (|r| - 3)^2 overflows and LagrangianSpec.v
+    # refuses it: that trial fails, as a trial with a larger gradient does,
+    # the step is halved, and the path is that of the smooth V, which the
+    # cliff leaves unchanged within |r| <= 3
+    def smooth(r, t):
+        return -40.0 * r - r ** 4
+
+    def cliff(r, t):
+        return smooth(r, t) + 1e308 * np.maximum(np.abs(r) - 3.0, 0.0) ** 2
+
+    refused = []
+
+    def gradient(path, lag, grid):
+        try:
+            return action_gradient(path, lag, grid)
+        except InvalidParameter:
+            refused.append(min(path.sites))
+            raise
+
+    monkeypatch.setattr(classical_limit, "action_gradient", gradient)
+    grid = TimeGrid(0.0, 1.0, 8)
+    path = classical_path(LagrangianSpec(mass=1.0, potential=cliff), grid, 0.0, 0.0)
+    assert refused == [-5.0]
+    assert path == classical_path(LagrangianSpec(mass=1.0, potential=smooth),
+                                  grid, 0.0, 0.0)
+    assert np.max(np.abs(action_gradient(path, LagrangianSpec(
+        mass=1.0, potential=smooth), grid))) <= 1e-10
 
 
 def test_tridiagonal_solve_matches_dense_solve():

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -933,16 +934,19 @@ def test_monte_carlo_replay_is_bitwise():
 
 
 def _serial_monte_carlo(cfg, samples, seed):
-    # one chunk after another on one thread, sums added in chunk order
+    # one chunk after another on one thread: each chunk's log-weights w,
+    # their max and its sums of e^{w - max} and e^{2 (w - max)}, folded in
+    # chunk order at the running max; the estimate from log kfree + max
     k, eps = cfg.grid.k, cfg.grid.epsilon
     mass, hbar = cfg.lag.mass, cfg.hbar
     tmids = cfg.grid.midpoint_times()
     T = cfg.grid.duration
-    kfree = math.sqrt(mass / (2.0 * math.pi * hbar * T)) \
-        * math.exp(-mass * (cfg.b - cfg.a) ** 2 / (2.0 * hbar * T))
+    d = cfg.b - cfg.a
+    log_kfree = 0.5 * (math.log(mass) - math.log(2.0 * math.pi * hbar * T)) \
+        - mass * d * d / (2.0 * hbar * T)
     chunk = propagator._MC_CHUNK
     n_chunks = (samples + chunk - 1) // chunk
-    sum_w = sum_w2 = 0.0
+    top, sum_w, sum_w2 = -math.inf, 0.0, 0.0
     done = 0
     for c in range(n_chunks):
         n = min(chunk, samples - done)
@@ -962,12 +966,17 @@ def _serial_monte_carlo(cfg, samples, seed):
             vsum += cfg.lag.v((h_prev + h) + line, tmids[i - 1])
             h_prev = h
         logw = vsum * (-eps / hbar)
-        w = np.where(np.isfinite(logw), np.exp(logw), 0.0)
-        sum_w += float(w.sum())
-        sum_w2 += float((w * w).sum())
+        c_top = float(logw.max())
+        w = np.exp(logw - c_top)
+        new_top = max(top, c_top)
+        x, y = math.exp(top - new_top), math.exp(c_top - new_top)
+        sum_w = sum_w * x + float(w.sum()) * y
+        sum_w2 = sum_w2 * x * x + float((w * w).sum()) * y * y
+        top = new_top
     mean_w = sum_w / samples
     var_w = max(0.0, (sum_w2 - samples * mean_w * mean_w) / (samples - 1))
-    return kfree * mean_w, kfree * math.sqrt(var_w / samples)
+    est = math.exp(log_kfree + top + math.log(mean_w))
+    return est, est * (math.sqrt(var_w / samples) / mean_w)
 
 
 def _line_free_monte_carlo(cfg, samples, seed):
@@ -1036,9 +1045,9 @@ def test_monte_carlo_matches_line_free_bridge(lag, k):
     3 * propagator._MC_CHUNK + 17])
 def test_monte_carlo_pool_bits_match_serial_chunks(monkeypatch, lag, samples):
     # 1, 2, 3 and 4 chunks, the last one short: every pool size gives the
-    # serial bits.  Under seed 2, chunk sums added in reverse order change
-    # the last bits of both harmonic cases of 3 and 4 chunks, so the order
-    # is checked too (one or two chunks add to the same bits either way).
+    # serial bits.  Under seed 2, chunk results folded in reverse order
+    # change the last bits of both harmonic cases of 3 and 4 chunks and the
+    # time-dependent case of 4, so the order is checked too.
     cfg = _small_cfg(lag, k=8, sites=41, a=0.0, b=0.5)
     est, stderr = _serial_monte_carlo(cfg, samples, seed=2)
     interval = sys.getswitchinterval()
@@ -1100,31 +1109,67 @@ def test_monte_carlo_guards():
                             space=SpaceGrid(-2.0, 2.0, 9), lag=osc, hbar=1.0,
                             a=0.0, b=0.2)
     for cfg in (wide, _small_cfg(osc, hbar=100.0, a=0.0, b=0.2)):
-        with pytest.raises(InvalidParameter, match="harmonic potential overflows"):
+        with pytest.raises(InvalidParameter, match=r"harmonic\(omega=1.3e\+154\) "
+                           "overflows float64"):
             propagate_monte_carlo_euclidean(cfg, 200, seed=0)
 
 
 def test_monte_carlo_weight_past_float_range_is_refused():
     # V = -1e306 everywhere gives each path the weight e^{1e306}, and
-    # V = -1e3 the weight e^{1e3}: refused by name, with no float warning,
-    # as is V = -1e308, whose sum over a path's midpoints is -inf; a finite
-    # weight keeps its value
+    # V = -1e3 the weight e^{1e3}: estimates past float range, refused by
+    # name with no float warning, as are V = -1e308, whose sum over a path's
+    # finite midpoints overflows to -inf, and V = -1e306 at hbar = 1e-3,
+    # whose log-weight overflows to +inf; a finite weight keeps its value,
+    # and a wall everywhere gives 0
     def flat(depth):
         return LagrangianSpec(mass=1.0, potential=lambda r, t: depth + 0.0 * r)
 
-    for depth in (-1e306, -1e3):
-        with pytest.raises(InvalidParameter, match="Monte Carlo weight"):
+    for depth, hbar in ((-1e306, 1.0), (-1e3, 1.0), (-1e308, 1.0), (-1e306, 1e-3)):
+        with pytest.raises(InvalidParameter, match="past float range"):
             propagate_monte_carlo_euclidean(
-                _small_cfg(flat(depth), k=4, sites=9, a=0.0, b=0.2), 200, seed=0)
-    with pytest.raises(UnboundedPotential, match="summed over a sampled path"):
-        propagate_monte_carlo_euclidean(
-            _small_cfg(flat(-1e308), k=4, sites=9, a=0.0, b=0.2), 200, seed=0)
+                _small_cfg(flat(depth), k=4, sites=9, hbar=hbar, a=0.0, b=0.2),
+                200, seed=0)
+    walled = propagate_monte_carlo_euclidean(
+        _small_cfg(flat(math.inf), k=4, sites=9, a=0.0, b=0.2), 200, seed=0)
+    assert (walled.value.re, walled.stderr) == (0.0, 0.0)
     got = propagate_monte_carlo_euclidean(
         _small_cfg(flat(-100.0), k=4, sites=9, a=0.0, b=0.2), 200, seed=0)
     free = propagate_monte_carlo_euclidean(
         _small_cfg(k=4, sites=9, a=0.0, b=0.2), 200, seed=0)
     assert got.value.re == pytest.approx(free.value.re * math.exp(100.0), rel=1e-14)
     assert got.stderr == 0.0
+
+
+def test_monte_carlo_weights_past_float_range_with_a_finite_estimate():
+    # every weight is e^{2000} and kfree is e^{-2450.9}, which underflows on
+    # its own; in log space their product is the exact lattice value
+    lag = LagrangianSpec(mass=1.0, potential=lambda r, t: -2000.0 + 0.0 * r)
+    cfg = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 4),
+                           space=SpaceGrid(-1.0, 71.0, 73), lag=lag, hbar=1.0,
+                           a=0.0, b=70.0)
+    res = propagate_monte_carlo_euclidean(cfg, samples=200, seed=0)
+    exact = math.exp(0.5 * math.log(1.0 / (2.0 * math.pi)) - 70.0 ** 2 / 2 + 2000.0)
+    assert exact == 1.4736461348784934e-196
+    assert res.value.re == pytest.approx(exact, rel=1e-12)
+    assert res.stderr == 0.0
+
+
+@pytest.mark.parametrize("lag", [
+    linear_potential(g=1e308), harmonic_oscillator(omega=1e154),
+    LagrangianSpec(mass=1.0, potential=lambda r, t: 1e307 * r ** 4,
+                   label="quartic")], ids=["linear", "harmonic", "quartic"])
+def test_potential_overflow_is_refused_by_every_engine(lag):
+    # V past float range on [0, 3] is refused by LagrangianSpec.v, naming
+    # the potential, in every engine: not read as a wall (the sweep
+    # returned K = 0 for the linear case, with an overflow warning)
+    cfg = PropagatorConfig(grid=TimeGrid(0.0, 1e-3, 3),
+                           space=SpaceGrid(0.0, 3.0, 31), lag=lag, hbar=1e300,
+                           a=0.4, b=0.6)
+    match = f"potential {re.escape(lag.label)} overflows float64"
+    for run in (propagate_transfer_matrix, propagate_enumerate,
+                lambda cfg: propagate_monte_carlo_euclidean(cfg, 200, seed=0)):
+        with pytest.raises(InvalidParameter, match=match):
+            run(cfg)
 
 
 def test_fast_len_is_scipys_complex_fast_length():
