@@ -78,10 +78,13 @@ class SpaceGrid:
         if not (isinstance(self.sites, numbers.Integral) and self.sites >= 2):
             raise InvalidParameter(
                 f"sites = {self.sites!r} must be an integer, at least 2")
-        # the width is finite only when both ends are
-        if not (math.isfinite(self.hi - self.lo) and self.hi > self.lo):
-            raise InvalidParameter(f"lo = {self.lo!r} and hi = {self.hi!r} "
-                                   "must be finite with hi > lo")
+        # the width, so the spacing, is finite only when both ends are;
+        # sites is compared while still an int, as float(sites) overflows
+        # past this, and lo + (sites - 1) dx is the last site as it is formed
+        if not (self.sites <= sys.float_info.max and self.dx > 0
+                and math.isfinite(self.lo + (self.sites - 1) * self.dx)):
+            raise InvalidParameter(f"lo = {self.lo!r} and hi = {self.hi!r} must be finite with "
+                                   "hi > lo, a spacing above 0 and every site in float range")
 
     @property
     def dx(self) -> float:

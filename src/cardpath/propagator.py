@@ -21,19 +21,21 @@ embedding at padded length L ~ 2 * sites, in blocks of _ROW_BLOCK = 8:
 O(r * sites log sites) time and about 16 * (2 * r * sites + min(r, 8) * L)
 bytes, the factors and one block's work rows.  A quadratic V (free, linear,
 harmonic, or quadratic in r at each step's midpoint time) is the exact
-case r = 1; a quartic on a 2,986-site recipe grid has r = 28.  The dense
-matrix, built from 3*sites - 1 exponentials and applied with BLAS in
-O(sites^2) time and 16 * sites^2 bytes, is kept for a V that is +inf at
-some midpoint (a hard wall makes the Hankel factor an indicator, of
-full rank) and for ranks whose build and products are measured to take
-longer than its own, as every rank does on small grids; the cross
-approximation stops at that rank, so a V of high rank costs about two
-dense builds.  Either step's arrays are held to one size guard, and
-either reads V once per step, by lattice's rule for V.  Every step factor,
-the enumeration's included, is 0 where V is +inf, and a phase is refused
-with InvalidParameter where it is not finite at a finite V.  A Sweep
-builds step 1 when it is made and reuses it for every step when V is
-time-independent.
+case r = 1, through the same factors and apply; a quartic on a 2,986-site
+recipe grid has r = 28.  The dense matrix, built from 3*sites - 1
+exponentials and applied with BLAS in O(sites^2) time and 16 * sites^2
+bytes, is kept for a V that is +inf at some midpoint (a hard wall makes
+the Hankel factor an indicator, of full rank) and for ranks whose build
+and products are measured to take longer than its own, as every rank does
+on small grids; the cross approximation stops at that rank, so a V of high
+rank costs about two dense builds.  Either step's arrays are held to one
+size guard, an FFT step's checked once before V is read, and either reads V
+once per step, by lattice's rule for V.  Every step factor, the
+enumeration's included, is formed by one phase rule: 0 where V is +inf,
+InvalidParameter with no numpy warning where a phase at a finite V is not
+finite.  A Sweep builds step 1 when it is made and reuses it for every step
+when V is time-independent.  A swept state or enumerated value past float
+range is refused likewise, once per call.
 
 Exact enumeration visits all sites^(k-1) paths, up to a guard of 1e7.
 It takes each step's pair factors from the dense step's kin and pot (with
@@ -228,6 +230,9 @@ def _fast_len(target: int) -> int:
     transform.  Each odd 11-smooth m below the best so far is tried with
     the least power of 2 that lifts it to target."""
     best = 1 << (target - 1).bit_length()
+    # no step this long is within the guard: skip a search of (log target)^4
+    if target > _DENSE_GUARD:
+        return best
     m11 = 1
     while m11 < best:
         m7 = m11
@@ -464,35 +469,36 @@ def _step(cfg: PropagatorConfig, step_index: int):
     """Step i of cfg: step @ psi is T psi, a new array, for T =
     step_matrix(cfg, i).
 
-    An _FftStep of rank 1 when V at the 2*sites - 1 midpoints is
-    c0 + c1 r + c2 r^2 to within _FIT_PHASE_TOL of step phase, and
-    otherwise of the rank r that _aca finds for the Hankel factor
-    e^{-i eps (V - fit) / hbar}; both transform at the one padded length
-    L = _fast_len(2 sites - 1).  The dense matrix, from the V read
-    here, when V is not finite at some midpoint (a wall makes that factor
-    an indicator, of full rank), and when the rank-r step, built once and
-    applied k times (once if V depends on time), would take longer than
-    the matrix, as every rank would on small grids, or its arrays, about
-    16 (2 r sites + min(r, _ROW_BLOCK) L) bytes, would exceed _DENSE_GUARD
-    (_max_rank): then _aca stops at that rank.
+    An _FftStep at the padded length L = _fast_len(2 sites - 1): of rank 1
+    when V at the 2*sites - 1 midpoints is c0 + c1 r + c2 r^2 to within
+    _FIT_PHASE_TOL of step phase, and otherwise of the rank r that _aca
+    finds for the Hankel factor e^{-i eps (V - fit) / hbar}.  The dense
+    matrix, from the V read here, when V is not finite at some midpoint (a
+    wall makes that factor an indicator, of full rank), and when the
+    rank-r step, built once and applied k times (once if V depends on
+    time), would take longer than the matrix, as every rank would on small
+    grids, or its arrays, about 16 (2 r sites + min(r, _ROW_BLOCK) L)
+    bytes, would exceed _DENSE_GUARD (_max_rank): then _aca stops at that
+    rank.
 
-    Raises TooLarge before V is evaluated when even the rank-1 arrays at
-    their least padded length would exceed _DENSE_GUARD bytes, and
-    InvalidParameter when a phase of the step it builds is not finite.
+    Raises TooLarge before V is evaluated when the rank-1 arrays would
+    exceed _DENSE_GUARD bytes, the one size check (_max_rank holds every
+    rank within it), and InvalidParameter when a phase of the step it
+    builds is not finite.
     """
     n = cfg.space.sites
-    guard_bytes(_fft_bytes(n, 2 * n - 1), f"a {n}-site step operator")
+    size = _fast_len(2 * n - 1)
+    guard_bytes(_fft_bytes(n, size), f"a {n}-site step operator")
     r, v = _midpoint_potential(cfg, step_index)
     if np.all(np.isfinite(v)):
-        size = _fast_len(2 * n - 1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             fit, resid = _quadratic_fit(r, v)
             phase = cfg.grid.epsilon * resid / cfg.hbar
         if np.max(np.abs(phase)) <= _FIT_PHASE_TOL:  # False at inf or nan
-            return _FftStep(cfg, fit, None, size)
-        applies = 1 if cfg.lag.time_dependent else cfg.grid.k
-        factors = _aca(_exp_phase(cfg, lambda: -1j * phase),
-                       _max_rank(n, size, applies), size)
+            factors = np.ones((2, 1, n), dtype=complex)
+        else:
+            factors = _aca(_exp_phase(cfg, lambda: -1j * phase), _max_rank(
+                n, size, 1 if cfg.lag.time_dependent else cfg.grid.k), size)
         if factors is not None:
             return _FftStep(cfg, fit, factors, size)
     return _step_factor(cfg, step_index, cfg.norm_per_step * cfg.space.dx,
@@ -514,80 +520,62 @@ class _FftStep:
         T psi = sum_q scale D U[q] * ifft(g_hat * fft(D V[q] psi)),
 
     r Toeplitz products with g by circulant embedding at padded length
-    L = size, at least 2 sites - 1, with no sites x sites array.
+    L = size, at least 2 sites - 1, with no sites x sites array.  g and D
+    come from _exp_phase; e^{-i eps c0 / hbar}, a scalar that _exp_phase
+    would round differently, is refused the same way where not finite.
 
-    It keeps the factors that _aca returns, with D and scale multiplied
-    into them in place, and owns one complex work buffer of
-    min(r, _ROW_BLOCK) rows of length L (one row of length L at r = 1).
-    @ runs the rows through it in blocks of that many: both numpy.fft
-    transforms in place (out= gives the bits of out-of-place calls) and
-    the factors multiplied in, each block's rows added to the running sum
-    one after another, as one sum over all r rows adds them.  So a step
-    holds its factors and one block, allocates only its sites-long result,
-    and must not be applied twice at once.
-    The reused buffer keeps a step's cost independent of the state of the
-    heap, where fresh L-long arrays on every step may be faulted in anew.
-    Raises TooLarge, before allocating, when the arrays at the padded
-    length would exceed _DENSE_GUARD bytes, and InvalidParameter when the
-    phase of g is not finite.
+    It keeps the rank x sites factors it is given, ones at rank 1, with
+    scale D and D multiplied into them in place, and owns one complex work
+    buffer of min(r, _ROW_BLOCK) rows of length L.  @ runs the rows through
+    it in blocks of that many: both numpy.fft transforms in place (out=
+    gives the bits of out-of-place calls), then each row times its factor
+    added to the running sum in turn.  So a step holds its factors and one
+    block, allocates only its sites-long result, and must not be applied
+    twice at once.  The reused buffer keeps a step's cost independent of
+    the state of the heap, where fresh L-long arrays may be faulted in anew.
     """
 
     def __init__(self, cfg: PropagatorConfig, fit, factors, size):
         n = cfg.space.sites
-        rank = 1 if factors is None else len(factors[0])
-        guard_bytes(_fft_bytes(n, size, rank), f"a {n}-site step operator")
         eps, hbar = cfg.grid.epsilon, cfg.hbar
         c0, c1, c2 = fit
-        chirp = cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2
         d = cfg.space.dx * np.arange(n)
         g = np.zeros(size, dtype=complex)
-        g[:n] = _exp_phase(cfg, lambda: 1j * (chirp * d * d / hbar))
+        g[:n] = _exp_phase(cfg, lambda: 1j * (
+            (cfg.lag.mass / (2.0 * eps) + 0.25 * eps * c2) * d * d / hbar))
         g[size - n + 1:] = g[n - 1:0:-1]
         self._g_hat = np.fft.fft(g, out=g)
         x = cfg.space.points()
-        self._d_in = np.exp(-1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
-        scale = cfg.norm_per_step * cfg.space.dx
-        self._d_out = scale * np.exp(-1j * eps * c0 / hbar) * self._d_in
-        # rank 1 keeps 1-D arrays: (1, L) ones made the CLI's default
-        # kernels about 10% slower
-        self.rank = rank
-        if factors is None:
-            self._v_in, self._u_out = self._d_in, self._d_out
-        else:
-            self._u_out, self._v_in = factors
-            self._u_out *= self._d_out
-            self._v_in *= self._d_in
-        self._work = np.empty((size,) if rank == 1
-                              else (min(rank, _ROW_BLOCK), size), dtype=complex)
-
-    def _convolve(self, v_in, psi, w):
-        """The Toeplitz products of g with v_in * psi (a row or rows), in
-        w, one such row or rows of padded length; returns the first sites
-        entries of each."""
-        n = psi.size
-        np.multiply(v_in, psi, out=w[..., :n])
-        w[..., n:] = 0.0
-        np.fft.fft(w, out=w)
-        w *= self._g_hat
-        np.fft.ifft(w, out=w)
-        return w[..., :n]
+        d_in = _exp_phase(cfg, lambda: -1j * eps * (0.5 * c2 * x + 0.5 * c1) * x / hbar)
+        with np.errstate(all="ignore"):
+            z = -1j * eps * c0 / hbar
+        if not np.isfinite(z):
+            raise InvalidParameter(f"a step's phase is not finite at eps = "
+                                   f"{eps!r}, hbar = {hbar!r}")
+        self._u_out, self._v_in = factors
+        self._u_out *= cfg.norm_per_step * cfg.space.dx * np.exp(z) * d_in
+        self._v_in *= d_in
+        self.rank = len(self._u_out)
+        self._work = np.empty((min(self.rank, _ROW_BLOCK), size), dtype=complex)
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        if self.rank == 1:
-            return self._u_out * self._convolve(self._v_in, psi, self._work)
-        height = len(self._work)
-        for lo in range(0, self.rank, height):
-            u = self._u_out[lo:lo + height]
-            rows = self._convolve(self._v_in[lo:lo + height], psi,
-                                  self._work[:len(u)])
-            np.multiply(u, rows, out=rows)
-            # the rows are added one after another, the running sum first,
-            # as one sum over all r rows would add them
-            if lo == 0:
-                out = rows.sum(axis=0)
-            else:
-                rows[0] += out
-                rows.sum(axis=0, out=out)
+        n, w, out = psi.size, self._work, None
+        for lo in range(0, self.rank, len(w)):
+            rows = w[:self.rank - lo]
+            head = rows[:, :n]
+            np.multiply(self._v_in[lo:lo + len(w)], psi, out=head)
+            rows[:, n:] = 0.0
+            np.fft.fft(rows, out=rows)
+            rows *= self._g_hat
+            np.fft.ifft(rows, out=rows)
+            # each row is added to the running sum in turn, as one sum over
+            # all r rows would add them; the first row starts the sum
+            for u_out, row in zip(self._u_out[lo:lo + len(w)], head):
+                if out is None:
+                    out = u_out * row
+                else:
+                    np.multiply(u_out, row, out=row)
+                    out += row
         return out
 
 
@@ -605,15 +593,18 @@ class Sweep:
         self._first = _step(cfg, 1)
 
     def __call__(self, psi: np.ndarray, keep: bool = False):
-        """psi after the k steps; with keep=True the list psi_0 .. psi_k."""
-        step = self._first
-        states = [psi]
-        for i in range(1, self.cfg.grid.k + 1):
-            if i > 1 and self.cfg.lag.time_dependent:
-                step = _step(self.cfg, i)
-            psi = step @ psi
-            if keep:
-                states.append(psi)
+        """psi after the k steps; with keep=True the list psi_0 .. psi_k.
+        InvalidParameter when a returned state after psi_0 is not finite."""
+        step, states = self._first, [psi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, self.cfg.grid.k + 1):
+                if i > 1 and self.cfg.lag.time_dependent:
+                    step = _step(self.cfg, i)
+                psi = step @ psi
+                if keep:
+                    states.append(psi)
+        if not all(np.isfinite(s).all() for s in (states[1:] if keep else [psi])):
+            raise InvalidParameter(f"a state is past float range at hbar = {self.cfg.hbar!r}")
         return states if keep else psi
 
 
@@ -750,9 +741,15 @@ def propagate_enumerate(cfg: PropagatorConfig) -> PropagatorResult:
     sizes = [sites] * n_int + [1]
     blocks = list(itertools.product(*map(range, sizes[fast:])))
     acc = sum(_ordered_map(block_weight, blocks))
-    value = (cfg.norm_per_step ** k) * (cfg.space.dx ** n_int) * acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:  # a power past float range raises OverflowError
+            value = complex((cfg.norm_per_step ** k) * (cfg.space.dx ** n_int) * acc)
+        except OverflowError:
+            value = complex(math.inf)
+    if not np.isfinite(value):
+        raise InvalidParameter(f"the enumeration is past float range at hbar = {cfg.hbar!r}")
     return PropagatorResult(
-        value=Amplitude.from_complex(complex(value)), method="enumeration",
+        value=Amplitude.from_complex(value), method="enumeration",
         k=k, sites=sites, snap_a=snap_a, snap_b=snap_b)
 
 

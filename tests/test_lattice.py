@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +52,19 @@ def test_space_grid_refuses_non_finite(bad):
     _refused(lambda: SpaceGrid(-1.0, bad, 5))
     _refused(lambda: SpaceGrid(-1.0, 1.0, bad))
     _refused(lambda: SpaceGrid(-1e308, 1e308, 5))  # the width overflows
+
+
+def test_space_grid_refuses_a_spacing_past_float_range():
+    # the spacing underflows to 0 (the enumeration divided by it), a site
+    # count past float range would overflow float(sites) in dx, or the
+    # last site, formed as lo + (sites - 1) dx, rounds past float range
+    _refused(lambda: SpaceGrid(0.0, 5e-324, 9))
+    _refused(lambda: SpaceGrid(0.0, 1.0, 10 ** 400))
+    top = sys.float_info.max
+    assert not math.isfinite(7 * ((top - 8.9e183) / 7))
+    _refused(lambda: SpaceGrid(8.9e183, top, 8))
+    assert SpaceGrid(0.0, 1e-320, 9).dx > 0
+    assert SpaceGrid(-1e308, 7e307, 9).points()[-1] == 7e307
 
 
 @pytest.mark.parametrize("bad", _NOT_FINITE + (0.0, -1.0))

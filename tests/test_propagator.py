@@ -3,9 +3,12 @@ import itertools
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardpath import propagator
 from cardpath.classical_limit import (classical_path, concentration_scan,
@@ -333,6 +336,19 @@ def test_step_operator_guard_allocates_nothing(monkeypatch):
             propagate_transfer_matrix(cfg)
 
 
+def test_step_guard_refuses_an_astronomical_grid_at_once():
+    # 10^300 sites pass SpaceGrid; the padded length's search, whose steps
+    # grow as (log target)^4, is skipped past the guard, so the one size
+    # check refuses the grid at once
+    target = 2 * 10 ** 300 - 1
+    assert propagator._fast_len(target) == 1 << (target - 1).bit_length()
+    cfg = PropagatorConfig(grid=TimeGrid(0.0, 1.0, 2),
+                           space=SpaceGrid(-1.0, 1.0, 10 ** 300),
+                           lag=free_particle(), hbar=1.0, a=0.0, b=0.5)
+    with pytest.raises(TooLarge):
+        Sweep(cfg)
+
+
 def _quadratic_lags():
     td = LagrangianSpec(mass=1.3, potential=lambda r, t: 0.4 * r * r - 0.2 * r
                         + 0.7 * np.sin(3.0 * t), time_dependent=True)
@@ -350,8 +366,9 @@ def test_fft_apply_bits_match_out_of_place_formula():
                 assert isinstance(op, propagator._FftStep)
                 psi = rng.standard_normal(sites) + 1j * rng.standard_normal(sites)
                 n, size = sites, op._work.size
-                want = op._d_out * scipy.fft.ifft(
-                    scipy.fft.fft(op._d_in * psi, size) * op._g_hat)[:n]
+                (u,), (v,) = op._u_out, op._v_in
+                want = u * scipy.fft.ifft(
+                    scipy.fft.fft(v * psi, size) * op._g_hat)[:n]
                 assert np.array_equal(op @ psi, want), (lag.label, sites, i)
                 # the buffer's padding is cleared on every call
                 assert np.array_equal(op @ psi, want)
@@ -1170,6 +1187,108 @@ def test_potential_overflow_is_refused_by_every_engine(lag):
                 lambda cfg: propagate_monte_carlo_euclidean(cfg, 200, seed=0)):
         with pytest.raises(InvalidParameter, match=match):
             run(cfg)
+
+
+def _flat(c):
+    return LagrangianSpec(mass=1.0, potential=lambda r, t: np.full_like(r, c))
+
+
+# (potential, [lo, hi], sites, k, T, hbar), a = b = 0: the state of the
+# sweep, and the enumeration's norm^k dx^(k-1), leave float range
+_PAST_RANGE = {
+    "flat": (_flat(1.0), 1.21, 5, 4, 1.95e-107, 6.21e-145),
+    "linear": (linear_potential(1.0, -2.9e165), 1.0, 3, 8, 6e-82, 1.4e-92),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PAST_RANGE))
+def test_sweep_and_enumeration_values_past_float_range_are_refused(case):
+    # both warned `overflow encountered in matmul` in the sweep; the
+    # enumeration raised OverflowError (complex exponentiation) on the
+    # first and returned NaN on the second
+    lag, half, sites, k, t_b, hbar = _PAST_RANGE[case]
+    cfg = PropagatorConfig(grid=TimeGrid(0.0, t_b, k),
+                           space=SpaceGrid(-half, half, sites), lag=lag,
+                           hbar=hbar, a=0.0, b=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (propagate_transfer_matrix, propagate_enumerate):
+            with pytest.raises(InvalidParameter, match="past float range"):
+                run(cfg)
+        psi = np.ones(sites, dtype=complex)
+        with pytest.raises(InvalidParameter, match="past float range"):
+            Sweep(cfg)(psi, keep=True)
+
+
+def test_step_phases_past_float_range_are_refused_with_no_warning():
+    # the FFT step's D (linear g = 2^1000 at hbar = 1e-10) and its scalar
+    # e^{-i eps c0 / hbar} (V = 1e300 at hbar = 1e-100) overflowed with a
+    # numpy warning; a fit on a grid about 5e-191 wide, where half * half
+    # underflows to 0, divided by zero
+    narrow = PropagatorConfig(
+        grid=TimeGrid(0.0, 6.2e155, 4),
+        space=SpaceGrid(-6.5e-192, 4.9e-191, 4),
+        lag=LagrangianSpec(mass=6.4e123, potential=lambda r, t: np.full_like(r, -8.4e80)),
+        hbar=4.7e-62, a=0.0, b=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg in (_at_zero(linear_potential(1.0, 2.0 ** 1000).potential,
+                             1e-10, 1.0, 4, 65),
+                    _at_zero(_flat(1e300).potential, 1e-100, 1.0, 4, 3),
+                    narrow):
+            with pytest.raises(InvalidParameter, match="phase is not finite"):
+                propagate_transfer_matrix(cfg)
+
+
+def _signed(magnitudes):
+    return st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]),
+                     magnitudes)
+
+
+# finite positive floats from 1e-320 to 1e308, by decade, and at the edges
+_EXTREME = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+              st.integers(-320, 307)),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, sys.float_info.max]))
+_FAMILIES = {
+    "free": lambda c, wall: lambda r, t: np.zeros_like(r),
+    "constant": lambda c, wall: lambda r, t: np.full_like(r, c),
+    "linear": lambda c, wall: lambda r, t: c * r,
+    "harmonic": lambda c, wall: lambda r, t: c * r * r,
+    "quartic": lambda c, wall: lambda r, t: c * r ** 4,
+    "wall": lambda c, wall: lambda r, t: np.where(r < wall, c, np.inf),
+}
+
+
+@given(family=st.sampled_from(sorted(_FAMILIES)), coef=_signed(_EXTREME),
+       mass=_EXTREME, hbar=_EXTREME, t_b=_EXTREME,
+       ends=st.tuples(_signed(_EXTREME), _signed(_EXTREME)),
+       sites=st.integers(2, 9), k=st.integers(1, 4),
+       where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       time_dependent=st.booleans())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_lattice_engines_compute_or_refuse_extreme_inputs(
+        family, coef, mass, hbar, t_b, ends, sites, k, where,
+        time_dependent):
+    # any finite input gives the sweep and the enumeration a finite value
+    # or a CardpathError, with no numpy warning on the way; the wall family
+    # is +inf above the middle of the grid
+    lo, hi = min(ends), max(ends)
+    width = hi - lo  # inf is refused by SpaceGrid
+    potential = _FAMILIES[family](coef, lo + 0.5 * width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (propagate_transfer_matrix, propagate_enumerate):
+            try:
+                cfg = PropagatorConfig(
+                    grid=TimeGrid(0.0, t_b, k), space=SpaceGrid(lo, hi, sites),
+                    lag=LagrangianSpec(mass=mass, potential=potential,
+                                       time_dependent=time_dependent),
+                    hbar=hbar, a=lo + where[0] * width, b=lo + where[1] * width)
+                value = run(cfg).value.to_complex()
+            except CardpathError:
+                continue
+            assert cmath.isfinite(value), (run.__name__, value)
 
 
 def test_fast_len_is_scipys_complex_fast_length():
